@@ -81,7 +81,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_corpus(args) -> int:
     structures = enumerate_structures(args.max_dim)
-    print(dump_json({"max_dim": args.max_dim, "seed": args.seed, "count": len(structures)}))
+    print(dump_json({"max_dim": args.max_dim, "count": len(structures)}))
     for s in structures:
         print(dump_json(structure_to_json(s)))
     return 0
@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="enumerate all structures up to a dimension")
     p.add_argument("--max-dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, help="echoed into the header for batch bookkeeping")
     p.set_defaults(func=cmd_corpus)
 
     return parser

@@ -207,10 +207,6 @@ class StarPattern:
                 out.append((which, int(i), int(j)))
         return out
 
-    def pairing(self) -> dict[tuple[int, int, int], tuple[int, int, int]]:
-        """Map each independent star to its dependent mirror position."""
-        return {(w, i, j): (w, j, i) for (w, i, j) in self.independent_stars()}
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -251,7 +247,3 @@ def assemble(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> S
 def codimension(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> int:
     """Codimension of the congruence orbit: the independent star count."""
     return assemble(structure, lambda_tol).params
-
-
-def pattern_to_json(pattern: StarPattern) -> dict:
-    return pattern.to_json()

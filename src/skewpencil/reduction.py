@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import SkewPair, congruence, frobenius_off_pattern
 from .pattern import StarPattern
-from .tangent import (
-    DirectSumError,
-    TangentMap,
-    _star_coord_indices,
-    pair_coords,
-    tangent_map,
-)
+from .tangent import _off_pattern_solve, _off_rows, tangent_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 30
@@ -111,34 +105,16 @@ class IterationSchedule:
         return power_sum(exps) < 1
 
 
-def correction_step(
-    base: SkewPair,
-    current: SkewPair,
-    pattern: StarPattern,
-    coefficients: SkewPair | None = None,
-    tangent: TangentMap | None = None,
-) -> np.ndarray:
+def correction_step(base: SkewPair, current: SkewPair, pattern: StarPattern) -> np.ndarray:
     """One linearised correction X.
 
     Solves (minimum-norm) for X with the off-pattern part of
     (M, R) + X^T P + P X equal to zero, where (M, R) = current - base and
-    P is the coefficient pair -- the current perturbed pair itself unless
-    ``coefficients`` overrides it (freezing them at ``base`` also works).
+    P = current, the pair being reduced.
     Raises :class:`DirectSumError` when the system is inconsistent, which
     signals a failing direct sum or a perturbation outside the chart.
     """
-    n = base.n
-    coeff = coefficients if coefficients is not None else current
-    tm = tangent if tangent is not None else tangent_map(coeff)
-    star = set(_star_coord_indices(pattern))
-    off = [k for k in range(n * (n - 1)) if k not in star]
-    T_off = tm.matrix[off, :]
-    rhs = -pair_coords(current - base)[off]
-    x, *_ = np.linalg.lstsq(T_off, rhs, rcond=None)
-    residual = np.linalg.norm(T_off @ x - rhs)
-    if residual > 1e-7 * max(1.0, np.linalg.norm(rhs)):
-        raise DirectSumError(f"correction system inconsistent: residual {residual:.3e}")
-    return x.reshape(n, n)
+    return _off_pattern_solve(tangent_map(current), pattern, current - base)
 
 
 @dataclass(frozen=True)
@@ -195,7 +171,6 @@ def reduce_pair(
     pattern: StarPattern,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    refresh_coefficients: bool = True,
 ) -> ReductionTrace:
     """Iterate congruences until the residual is supported on the pattern.
 
@@ -214,8 +189,7 @@ def reduce_pair(
     records: list[IterationRecord] = []
     off = initial_off
     while off > tol and len(records) < max_iter:
-        coeff = P if refresh_coefficients else base
-        X = correction_step(base, P, pattern, coefficients=coeff)
+        X = correction_step(base, P, pattern)
         step = np.eye(n, dtype=complex) + X
         P = congruence(P, step)
         S = S @ step
@@ -242,12 +216,9 @@ def schedule_for(base: SkewPair, pattern: StarPattern) -> IterationSchedule:
     strictly exceeding c, c(a+1)(2+c), c(b+1)(2+c), c^2(a+1) and c^2(b+1)
     with a, b the Frobenius norms of the base matrices.
     """
-    n = base.n
-    tm = tangent_map(base)
-    star = set(_star_coord_indices(pattern))
-    off = [k for k in range(n * (n - 1)) if k not in star]
+    off = _off_rows(pattern)
     if off:
-        P = np.linalg.pinv(tm.matrix[off, :])
+        P = np.linalg.pinv(tangent_map(base).matrix[off, :])
         col_norms = np.linalg.norm(P, axis=0)
         c = 2.0 * float(col_norms.sum())
     else:

@@ -31,9 +31,9 @@ class DirectSumError(ValueError):
         self.report = report
 
 
-def upper_coords(n: int) -> list[tuple[int, int]]:
-    """Strictly-upper positions in row-major order; the coordinate basis."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _upper_row_starts(n: int) -> list[int]:
+    """s with s[i] + j the row-major coordinate of strictly-upper position (i, j)."""
+    return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
 
 
 def pair_coords(pair: SkewPair) -> np.ndarray:
@@ -66,23 +66,20 @@ class TangentMap:
     n: int
     matrix: np.ndarray
 
-    @property
-    def ambient(self) -> int:
-        return self.n * (self.n - 1)
-
 
 def tangent_map(pair: SkewPair) -> TangentMap:
     n = pair.n
     iu, ju = np.triu_indices(n, 1)
     m = iu.size
+    rows = np.arange(m)[:, None]
+    # at coordinate (a, b), a < b, the image of E_ia is M[i, b] and that of E_ib is M[a, i]
+    col_ia = np.arange(n) * n + iu[:, None]
+    col_ib = np.arange(n) * n + ju[:, None]
     T = np.zeros((2 * m, n * n), dtype=complex)
     for M, off in ((pair.A, 0), (pair.B, m)):
-        # image entry (p, q) of column (i, j) is delta_pj M[i, q] + M[p, i] delta_qj
-        T4 = np.zeros((n, n, n, n), dtype=complex)
-        for j in range(n):
-            T4[j, :, :, j] += M.T
-            T4[:, j, :, j] += M
-        T[off:off + m] = T4[iu, ju].reshape(m, n * n)
+        # + 0.0 turns -0.0 into +0.0, so T and the solves built on it hold no negative zeros
+        T[off + rows, col_ia] = M[:, ju].T + 0.0
+        T[off + rows, col_ib] = M[iu, :] + 0.0
     return TangentMap(n, T)
 
 
@@ -98,38 +95,52 @@ def float_rank(M: np.ndarray, rtol: float = FLOAT_RANK_RTOL) -> int:
 def _star_coord_indices(pattern: StarPattern) -> list[int]:
     """Coordinate index of each independent star, A block first."""
     n = pattern.n
-    uidx = {c: k for k, c in enumerate(upper_coords(n))}
+    start = _upper_row_starts(n)
     m = n * (n - 1) // 2
-    return sorted(which * m + uidx[(i, j)] for which, i, j in pattern.independent_stars())
+    return sorted(which * m + start[i] + j for which, i, j in pattern.independent_stars())
+
+
+def _off_rows(pattern: StarPattern) -> list[int]:
+    """Coordinate indices of the non-star positions, ascending."""
+    star = set(_star_coord_indices(pattern))
+    return [k for k in range(pattern.n * (pattern.n - 1)) if k not in star]
 
 
 def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
     """Tangent columns over scaled Gaussian integers, as sparse coord dicts."""
     Are, Aim, Bre, Bim = pair_to_gaussian_ints(pair)
     n = pair.n
-    uidx = {c: k for k, c in enumerate(upper_coords(n))}
+    start = _upper_row_starts(n)
     m = n * (n - 1) // 2
     cols = []
     for i in range(n):
         for j in range(n):
             col: dict[int, tuple[int, int]] = {}
             for re, im, off in ((Are, Aim, 0), (Bre, Bim, m)):
+                # M[i, q] goes to (j, q) and M[p, i] to (p, j): disjoint, one term each
                 for q in range(j + 1, n):
                     vr, vi = int(re[i, q]), int(im[i, q])
                     if vr or vi:
-                        k = off + uidx[(j, q)]
-                        old = col.get(k, (0, 0))
-                        col[k] = (old[0] + vr, old[1] + vi)
+                        col[off + start[j] + q] = (vr, vi)
                 for p in range(j):
                     vr, vi = int(re[p, i]), int(im[p, i])
                     if vr or vi:
-                        k = off + uidx[(p, j)]
-                        old = col.get(k, (0, 0))
-                        col[k] = (old[0] + vr, old[1] + vi)
-            col = {k: v for k, v in col.items() if v != (0, 0)}
+                        col[off + start[p] + j] = (vr, vi)
             if col:
                 cols.append(col)
     return cols
+
+
+def _off_pattern_solve(tm: TangentMap, pattern: StarPattern, C: SkewPair) -> np.ndarray:
+    """Minimum-norm S with C + S^T P + P S zero off the stars, P the pair of ``tm``."""
+    off = _off_rows(pattern)
+    T_off = tm.matrix[off, :]
+    c_off = pair_coords(C)[off]
+    s, *_ = np.linalg.lstsq(T_off, -c_off, rcond=None)
+    residual = np.linalg.norm(T_off @ s + c_off)
+    if residual > 1e-7 * max(1.0, np.linalg.norm(c_off)):
+        raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
+    return s.reshape(tm.n, tm.n)
 
 
 @dataclass(frozen=True)
@@ -238,18 +249,11 @@ def project_to_pattern(
     if C.n != n or pattern.n != n:
         raise ValueError("dimension mismatch")
     tm = tangent if tangent is not None else tangent_map(pair0)
-    star = set(_star_coord_indices(pattern))
-    off = [k for k in range(n * (n - 1)) if k not in star]
-    T_off = tm.matrix[off, :]
-    c_off = pair_coords(C)[off]
-    s, *_ = np.linalg.lstsq(T_off, -c_off, rcond=None)
-    residual = np.linalg.norm(T_off @ s + c_off)
-    if residual > 1e-7 * max(1.0, np.linalg.norm(c_off)):
-        raise DirectSumError(
-            f"no pattern-form representative: residual {residual:.3e}",
-            report=verify_direct_sum(pair0, pattern, backend="float"),
-        )
-    S = s.reshape(n, n)
+    try:
+        S = _off_pattern_solve(tm, pattern, C)
+    except DirectSumError as exc:
+        exc.report = verify_direct_sum(pair0, pattern, backend="float")
+        raise
     dA = C.A + S.T @ pair0.A + pair0.A @ S
     dB = C.B + S.T @ pair0.B + pair0.B @ S
     D = SkewPair(0.5 * (dA - dA.T), 0.5 * (dB - dB.T))

@@ -118,11 +118,11 @@ def test_reduce_dimension_mismatch_exits_2(tmp_path, capsys):
 
 
 def test_corpus_command(tmp_path, capsys):
-    code, out, _ = run(capsys, ["corpus", "--max-dim", "6", "--seed", "7"])
+    code, out, _ = run(capsys, ["corpus", "--max-dim", "6"])
     assert code == 0
     lines = out.strip().splitlines()
     header = json.loads(lines[0])
-    assert header == {"count": 173, "max_dim": 6, "seed": 7}
+    assert header == {"count": 173, "max_dim": 6}
     assert len(lines) == 1 + header["count"]
     # every line parses back into a structure of dimension <= 6
     dims = []
@@ -142,8 +142,8 @@ def test_corpus_count_matches_partition_dp(capsys):
 
 
 def test_corpus_byte_identical(capsys):
-    code1, out1, _ = run(capsys, ["corpus", "--max-dim", "5", "--seed", "1"])
-    code2, out2, _ = run(capsys, ["corpus", "--max-dim", "5", "--seed", "1"])
+    code1, out1, _ = run(capsys, ["corpus", "--max-dim", "5"])
+    code2, out2, _ = run(capsys, ["corpus", "--max-dim", "5"])
     assert code1 == code2 == 0
     assert out1 == out2
 

@@ -217,7 +217,6 @@ def test_pattern_accessors():
     pat = assemble(st)
     assert pat.stars_b() == [(0, 1), (1, 0)]
     assert pat.independent_stars() == [(1, 0, 1)]
-    assert pat.pairing() == {(1, 0, 1): (1, 1, 0)}
     js = pat.to_json()
     assert js["params"] == 1 and js["maskB"][0][1] == 1
 

@@ -110,15 +110,18 @@ def test_reduce_max_iter_is_data_not_error():
     assert trace.initial_off_norm > 0
 
 
-def test_reduce_frozen_coefficients_also_converges():
+@pytest.mark.parametrize("blocks", [
+    (CanonicalBlock("H", 1, 0.0), CanonicalBlock("H", 1, 0.0)),
+    (CanonicalBlock("K", 1), CanonicalBlock("L", 1)),
+    (CanonicalBlock("H", 2, 1j), CanonicalBlock("L", 0)),
+])
+def test_correction_is_projection_at_current_pair(blocks):
+    # the correction is the projection witness with the current pair as base point
     rng = np.random.default_rng(36)
-    _, base, pat = setup((CanonicalBlock("K", 1), CanonicalBlock("L", 1)))
-    pert = random_skew_pair(rng, base.n, scale=1e-3)
-    perturbed = perturb(base, pert)
-    fresh = reduce_pair(base, perturbed, pat)
-    frozen = reduce_pair(base, perturbed, pat, refresh_coefficients=False)
-    assert fresh.converged and frozen.converged
-    assert pair_off_norm(frozen.D, pat) <= 1e-10
+    _, base, pat = setup(blocks)
+    P = perturb(base, random_skew_pair(rng, base.n, scale=1e-3))
+    X = correction_step(base, P, pat)
+    assert np.array_equal(X, project_to_pattern(P, pat, P - base)[1])
 
 
 def test_reduce_agrees_with_projection_to_first_order():

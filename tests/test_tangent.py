@@ -55,7 +55,13 @@ def test_tangent_H1summand_columns():
 ])
 def test_tangent_matches_brute_oracle(blocks):
     pair = make_structure_pair(CanonicalStructure(blocks))
-    assert np.allclose(tangent_map(pair).matrix, brute_tangent_matrix(pair))
+    assert np.array_equal(tangent_map(pair).matrix, brute_tangent_matrix(pair))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_tangent_matches_brute_oracle_dense(n):
+    pair = random_skew_pair(np.random.default_rng(40 + n), n)
+    assert np.array_equal(tangent_map(pair).matrix, brute_tangent_matrix(pair))
 
 
 def test_tangent_rank_congruence_invariant():
@@ -116,6 +122,29 @@ def test_verify_backends_agree():
         flt = verify_direct_sum(pair, pat, backend="float")
         assert exact == flt
         assert exact.direct_sum_ok
+
+
+def test_verify_backends_agree_off_canonical():
+    # non-canonical Gaussian-integer pairs of varying sparsity, so that the
+    # tangent rank and the intersection both vary
+    rng = np.random.default_rng(42)
+
+    def skew(n, density):
+        M = rng.integers(-2, 3, (n, n)) + 1j * rng.integers(-2, 3, (n, n))
+        M = np.triu(M * (rng.random((n, n)) < density), 1)
+        return M - M.T
+
+    seen = set()
+    for n in range(3, 7):
+        structures = [st for st in enumerate_structures(n) if st.dim == n]
+        for density in (0.3, 0.6, 0.9) * 2:
+            pair = SkewPair(skew(n, density), skew(n, density))
+            pat = assemble(structures[rng.integers(len(structures))])
+            exact = verify_direct_sum(pair, pat, backend="exact")
+            flt = verify_direct_sum(pair, pat, backend="float")
+            assert (exact.rank_t, exact.intersection_dim) == (flt.rank_t, flt.intersection_dim)
+            seen.add((exact.rank_t < exact.ambient, exact.intersection_dim > 0))
+    assert len(seen) == 4
 
 
 def test_verify_dimension_mismatch():
