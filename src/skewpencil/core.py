@@ -12,6 +12,7 @@ indecomposable canonical pairs generate everything up to congruence:
 
 from __future__ import annotations
 
+import cmath
 import json
 import warnings
 from dataclasses import dataclass
@@ -81,6 +82,8 @@ class CanonicalBlock:
         if self.kind == "L" and self.n < 0:
             raise ValueError("L block needs n >= 0")
         object.__setattr__(self, "lam", complex(self.lam))
+        if not cmath.isfinite(self.lam):
+            raise ValueError(f"eigenvalue must be finite, got {self.lam}")
         if self.kind != "H" and self.lam != 0:
             raise ValueError("eigenvalue is only meaningful for H blocks")
 
@@ -245,12 +248,36 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "entries": entries}
 
 
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_complex(value, what: str) -> complex:
+    """A complex number written as an [re, im] pair of JSON numbers."""
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
+        raise ValueError(f"{what} must be an [re, im] pair of numbers, got {value!r}")
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    obj = _json_object(obj, "matrix")
+    rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
     entries = obj["entries"]
-    if len(entries) != rows * cols:
+    if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    flat = np.array([_json_complex(z, "matrix entry") for z in entries], dtype=complex)
     return flat.reshape(rows, cols)
 
 
@@ -259,6 +286,7 @@ def pair_to_json(pair: SkewPair) -> dict:
 
 
 def pair_from_json(obj: dict) -> SkewPair:
+    obj = _json_object(obj, "pair")
     return SkewPair(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]))
 
 
@@ -273,14 +301,17 @@ def structure_to_json(structure: CanonicalStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> CanonicalStructure:
-    blocks = []
-    for s in obj["blocks"]:
+    blocks = _json_object(obj, "structure")["blocks"]
+    if not isinstance(blocks, list):
+        raise ValueError(f"blocks must be a list, got {blocks!r}")
+    out = []
+    for s in blocks:
+        s = _json_object(s, "block")
         lam = 0j
         if s["kind"] == "H":
-            lam_re, lam_im = s.get("lambda", [0.0, 0.0])
-            lam = complex(lam_re, lam_im)
-        blocks.append(CanonicalBlock(s["kind"], int(s["n"]), lam))
-    return CanonicalStructure(tuple(blocks))
+            lam = _json_complex(s.get("lambda", [0.0, 0.0]), "lambda")
+        out.append(CanonicalBlock(s["kind"], _json_int(s["n"], "block size n"), lam))
+    return CanonicalStructure(tuple(out))
 
 
 def dump_json(obj: dict) -> str:

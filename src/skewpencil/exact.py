@@ -21,62 +21,35 @@ from .core import SkewPair
 def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     """Rank of a sparse integer matrix given as row dictionaries.
 
-    Exact: rows are combined by integer cross-multiplication and reduced by
-    their gcd, so no rounding ever occurs.  Pivots prefer unit entries in
-    short rows to limit fill-in and coefficient growth.
+    Exact: the rows, in the given order and without their zero entries,
+    are inserted into an echelon basis that maps each basis row's leading
+    (smallest) column to that row.  While an incoming row's leading column
+    already leads a basis row, integer cross-multiplication by the two
+    gcd-reduced leading values cancels it, so the leading column strictly
+    increases and the loop ends.  A nonzero remainder joins the basis under
+    its own leading column.  Distinct leading columns make the basis rows
+    independent, so the rank is the size of the basis.
     """
-    active = [dict(r) for r in rows if r]
-    rank = 0
-    while active:
-        col_count: dict[int, int] = {}
-        for row in active:
-            for c in row:
-                col_count[c] = col_count.get(c, 0) + 1
-        pi = min(range(len(active)), key=lambda k: len(active[k]))
-        pivot = active.pop(pi)
-        pc = min(pivot, key=lambda c: (abs(pivot[c]) != 1, col_count[c], abs(pivot[c])))
-        pv = pivot[pc]
-        rank += 1
-        remaining = []
-        for row in active:
-            v = row.pop(pc, None)
-            if v is None:
-                if row:
-                    remaining.append(row)
-                continue
-            if pv == 1:
-                a, b = 1, -v
-            elif pv == -1:
-                a, b = 1, v
-            else:
-                g = gcd(pv, v)
-                a, b = pv // g, -(v // g)
-            new: dict[int, int] = {}
-            if a == 1:
-                new.update(row)
-            else:
-                for c, w in row.items():
-                    new[c] = a * w
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                break
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, w in pivot.items():
-                if c == pc:
-                    continue
-                nv = new.get(c, 0) + b * w
-                if nv:
-                    new[c] = nv
+                v = row.get(c, 0) - b * w
+                if v:
+                    row[c] = v
                 else:
-                    new.pop(c, None)
-            if new:
-                g = 0
-                for w in new.values():
-                    g = gcd(g, w)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for c in new:
-                        new[c] //= g
-                remaining.append(new)
-        active = remaining
-    return rank
+                    row.pop(c, None)
+    return len(basis)
 
 
 def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:

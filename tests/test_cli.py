@@ -169,11 +169,45 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _h1(lam):
+    return {"blocks": [{"kind": "H", "n": 1, "lambda": lam}]}
+
+
+_GOOD_MATRIX = {"rows": 2, "cols": 2, "entries": [[0, 0]] * 4}
+
+# (command, structure file, perturbation file or None); each must be refused as bad input
+BAD_INPUTS = {
+    "unknown-kind": ("verify", {"blocks": [{"kind": "Z", "n": 1}]}, None),
+    "blocks-not-list": ("verify", {"blocks": 5}, None),
+    "top-level-list": ("verify", [1, 2], None),
+    "block-not-object": ("verify", {"blocks": [5]}, None),
+    "lambda-string": ("codim", _h1("ab"), None),
+    "lambda-nan": ("codim", _h1([float("nan"), 0]), None),
+    "lambda-inf": ("codim", _h1([float("inf"), 0]), None),
+    "lambda-huge-int": ("codim", _h1([10 ** 400, 0]), None),
+    "n-fractional": ("verify", {"blocks": [{"kind": "K", "n": 1.5}]}, None),
+    "pair-list": ("reduce", _h1([0, 0]), [1]),
+    "pair-matrices-numbers": ("reduce", _h1([0, 0]), {"A": 5, "B": 5}),
+    "entries-not-pairs": ("reduce", _h1([0, 0]), {
+        "A": {"rows": 2, "cols": 2, "entries": [0, 1, -1, 0]}, "B": _GOOD_MATRIX}),
+    "entry-strings": ("reduce", _h1([0, 0]), {
+        "A": _GOOD_MATRIX, "B": {"rows": 2, "cols": 2, "entries": [["a", "b"]] * 4}}),
+}
+
+
 def test_bad_schema_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"blocks": [{"kind": "Z", "n": 1}]}))
-    code, _, err = run(capsys, ["verify", str(path)])
-    assert code == 2
+    for name, (command, structure, perturbation) in BAD_INPUTS.items():
+        spath = tmp_path / f"{name}.json"
+        spath.write_text(json.dumps(structure))
+        argv = [command, str(spath)]
+        if perturbation is not None:
+            ppath = tmp_path / f"{name}-pert.json"
+            ppath.write_text(json.dumps(perturbation))
+            argv = [command, "--base", str(spath), "--perturbation", str(ppath)]
+        code, _, err = run(capsys, argv)
+        assert code == 2, name
+        assert "skewpencil: error:" in err, name
+        assert "Traceback" not in err, name
 
 
 def test_unknown_command_exits_2(capsys):

@@ -100,6 +100,9 @@ def test_block_validation():
         CanonicalBlock("X", 1)
     with pytest.raises(ValueError):
         CanonicalBlock("K", 1, 2.0)
+    for lam in (complex("nan"), complex(0, float("inf"))):
+        with pytest.raises(ValueError):
+            CanonicalBlock("H", 1, lam)
 
 
 def test_direct_sum_empty():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from skewpencil import CanonicalBlock, SkewPair, make_block
 from skewpencil.exact import (
@@ -23,18 +25,45 @@ def test_sparse_rank_trivial():
     assert sparse_int_rank([{}, {}]) == 0
     assert sparse_int_rank([{0: 1}]) == 1
     assert sparse_int_rank([{0: 2, 1: 4}, {0: 1, 1: 2}]) == 1
+    # rows made only of explicit zeros are zero rows
+    assert sparse_int_rank([{0: 0}]) == 0
+    assert sparse_int_rank([{0: 0, 1: 0}]) == 0
 
 
-def test_sparse_rank_vs_dense_fraction():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        m, n = rng.integers(1, 9, size=2)
-        r = int(rng.integers(0, min(m, n) + 1))
-        U = rng.integers(-4, 5, size=(m, r))
-        V = rng.integers(-4, 5, size=(r, n))
-        M = U @ V
-        expected = dense_fraction_rank([[Fraction(int(v)) for v in row] for row in M])
-        assert sparse_int_rank(rows_from_dense(M)) == expected
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def draw_low_rank(data, min_size, max_size, parts):
+    """U @ V with U m-by-r and V r-by-n, for a drawn rank bound r <= min(m, n).
+
+    ``parts`` are the unit multipliers summed into each factor: (1,) for
+    integer matrices, (1, 1j) for Gaussian-integer ones.
+    """
+    m = data.draw(st.integers(min_size, max_size))
+    n = data.draw(st.integers(min_size, max_size))
+    r = data.draw(st.integers(0, min(m, n)))
+
+    def factor(shape):
+        return sum(data.draw(arrays(np.int64, shape, elements=st.integers(-4, 4))) * k
+                   for k in parts)
+
+    return factor((m, r)) @ factor((r, n))
+
+
+@PROPERTY
+@given(st.data())
+def test_sparse_rank_vs_dense_fraction(data):
+    M = draw_low_rank(data, 1, 8, (1,))
+    expected = dense_fraction_rank([[Fraction(int(v)) for v in row] for row in M])
+    rows = rows_from_dense(M)
+    assert sparse_int_rank(rows) == expected
+    assert rows == rows_from_dense(M)  # the input rows are left as they were
+    # the rank ignores row order, a repeated row and an integer multiple of a row
+    assert sparse_int_rank(data.draw(st.permutations(rows))) == expected
+    k = data.draw(st.integers(0, len(rows) - 1))
+    assert sparse_int_rank(rows + [rows[k]]) == expected
+    f = data.draw(st.integers(-5, 5))
+    assert sparse_int_rank(rows + [{c: f * v for c, v in rows[k].items()}]) == expected
 
 
 def test_sparse_rank_vs_svd():
@@ -57,23 +86,21 @@ def test_gaussian_columns_rank_complex():
     assert gaussian_columns_rank(cols) == 2
 
 
-def test_gaussian_columns_rank_vs_svd():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        r = int(rng.integers(0, min(m, n) + 1))
-        U = rng.integers(-3, 4, size=(m, r)) + 1j * rng.integers(-3, 4, size=(m, r))
-        V = rng.integers(-3, 4, size=(r, n)) + 1j * rng.integers(-3, 4, size=(r, n))
-        M = U @ V
-        cols = []
-        for j in range(n):
-            col = {}
-            for i in range(m):
-                v = M[i, j]
-                if v != 0:
-                    col[i] = (int(v.real), int(v.imag))
-            cols.append(col)
-        assert gaussian_columns_rank(cols) == svd_rank(M)
+@PROPERTY
+@given(st.data())
+def test_gaussian_columns_rank_vs_svd(data):
+    M = draw_low_rank(data, 2, 6, (1, 1j))
+    cols = []
+    for j in range(M.shape[1]):
+        col = {}
+        for i in range(M.shape[0]):
+            v = M[i, j]
+            if v != 0:
+                col[i] = (int(v.real), int(v.imag))
+        cols.append(col)
+    expected = svd_rank(M)
+    assert gaussian_columns_rank(cols) == expected
+    assert gaussian_columns_rank(data.draw(st.permutations(cols))) == expected
 
 
 def test_pair_to_gaussian_ints_integer_pair():

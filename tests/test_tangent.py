@@ -147,6 +147,18 @@ def test_verify_backends_agree_off_canonical():
     assert len(seen) == 4
 
 
+def test_verify_exact_at_n60():
+    # repeated block pairs and an imaginary eigenvalue, so the exact ranks
+    # run on realified rows at a size far beyond the corpus
+    st = CanonicalStructure((CanonicalBlock("H", 2, 0.0),) * 8 + (CanonicalBlock("L", 1),) * 8
+                            + (CanonicalBlock("H", 1, 1j),) * 2)
+    pair, pat = make_structure_pair(st), assemble(st)
+    assert pair.n == 60 and np.any(pair.B.imag)
+    rep = verify_direct_sum(pair, pat)
+    assert rep.direct_sum_ok
+    assert rep.rank_t == 60 * 59 - pat.params
+
+
 def test_verify_dimension_mismatch():
     pair = make_block(CanonicalBlock("H", 1, 0.0))
     with pytest.raises(ValueError):
