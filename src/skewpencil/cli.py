@@ -21,9 +21,9 @@ from .core import (
     structure_to_json,
 )
 from .corpus import enumerate_structures
-from .pattern import LAMBDA_TOL, assemble, codimension
+from .pattern import LAMBDA_TOL, assemble, codimension, snap_eigenvalues
 from .reduction import DEFAULT_MAX_ITER, DEFAULT_TOL, reduce_pair
-from .tangent import verify_direct_sum, verify_pairwise
+from .tangent import global_from_pairwise, verify_pairwise
 from . import core
 
 
@@ -32,29 +32,31 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_structure(path: str):
-    return structure_from_json(_load_json(path))
+def _load_structure(path: str, lambda_tol: float):
+    """The structure in ``path``, with its H eigenvalues snapped at ``lambda_tol``.
+
+    Every command builds its pattern and its pair from this one structure.
+    """
+    return snap_eigenvalues(structure_from_json(_load_json(path)), lambda_tol)
 
 
 def cmd_pattern(args) -> int:
-    structure = _load_structure(args.structure)
+    structure = _load_structure(args.structure, args.lambda_tol)
     pat = assemble(structure, lambda_tol=args.lambda_tol)
     print(dump_json(pat.to_json()))
     return 0
 
 
 def cmd_codim(args) -> int:
-    structure = _load_structure(args.structure)
+    structure = _load_structure(args.structure, args.lambda_tol)
     print(codimension(structure, lambda_tol=args.lambda_tol))
     return 0
 
 
 def cmd_verify(args) -> int:
-    structure = _load_structure(args.structure)
-    pair = core.make_structure_pair(structure)
-    pat = assemble(structure, lambda_tol=args.lambda_tol)
-    glob = verify_direct_sum(pair, pat, backend=args.backend)
+    structure = _load_structure(args.structure, args.lambda_tol)
     pairwise = verify_pairwise(structure, backend=args.backend, lambda_tol=args.lambda_tol)
+    glob = global_from_pairwise(structure.dim, pairwise)
     ok = glob.direct_sum_ok and all(e.report.direct_sum_ok for e in pairwise)
     print(dump_json({
         "n": structure.dim,
@@ -62,11 +64,17 @@ def cmd_verify(args) -> int:
         "pairwise": [e.to_json() for e in pairwise],
         "all_ok": ok,
     }))
+    for e in pairwise:
+        if not e.report.direct_sum_ok:
+            r = e.report
+            print(f"skewpencil: verify: block pair ({e.i}, {e.j}) fails: rank_T={r.rank_t} "
+                  f"params_p={r.params_p} ambient={r.ambient} intersection_dim={r.intersection_dim}",
+                  file=sys.stderr)
     return 0 if ok else 1
 
 
 def cmd_reduce(args) -> int:
-    structure = _load_structure(args.base)
+    structure = _load_structure(args.base, args.lambda_tol)
     base = core.make_structure_pair(structure)
     perturbation = pair_from_json(_load_json(args.perturbation))
     if perturbation.n != base.n:

@@ -112,11 +112,12 @@ class SkewPair:
             raise ValueError("A must be square")
         if B.shape != A.shape:
             raise ValueError("A and B must have the same shape")
-        if not (np.all(np.isfinite(A.view(float))) and np.all(np.isfinite(B.view(float)))):
+        if not (np.isfinite(A).all() and np.isfinite(B).all()):
             raise ValueError("entries must be finite")
         for M in (A, B):
-            scale = max(1.0, np.linalg.norm(M))
-            if np.linalg.norm(M + M.T) > SKEW_RTOL * scale:
+            asym = M + M.T
+            # an exactly skew matrix passes without computing either norm
+            if asym.any() and np.linalg.norm(asym) > SKEW_RTOL * max(1.0, np.linalg.norm(M)):
                 raise ValueError("matrix is not skew-symmetric")
         A.setflags(write=False)
         B.setflags(write=False)
@@ -167,37 +168,46 @@ class CanonicalStructure:
         return offs
 
 
-def make_block(block: CanonicalBlock) -> SkewPair:
-    """Construct the canonical pair of a single block, exactly skew."""
+def _block_matrices(block: CanonicalBlock) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, B) matrices of one canonical block, exactly skew."""
     n = block.n
     if block.kind == "H":
-        A = skew_embed(np.eye(n, dtype=complex))
-        B = skew_embed(make_jordan(n, block.lam))
-    elif block.kind == "K":
-        A = skew_embed(make_jordan(n, 0.0))
-        B = skew_embed(np.eye(n, dtype=complex))
-    else:
-        A = skew_embed(make_F(n))
-        B = skew_embed(make_G(n))
+        return skew_embed(np.eye(n, dtype=complex)), skew_embed(make_jordan(n, block.lam))
+    if block.kind == "K":
+        return skew_embed(make_jordan(n, 0.0)), skew_embed(np.eye(n, dtype=complex))
+    return skew_embed(make_F(n)), skew_embed(make_G(n))
+
+
+def make_block(block: CanonicalBlock) -> SkewPair:
+    """Construct the canonical pair of a single block, exactly skew."""
+    return SkewPair(*_block_matrices(block))
+
+
+def _block_diagonal(parts: list[tuple[np.ndarray, np.ndarray]]) -> SkewPair:
+    """The pair with the (A, B) matrices of ``parts`` on its diagonal."""
+    total = sum(A.shape[0] for A, _ in parts)
+    A = np.zeros((total, total), dtype=complex)
+    B = np.zeros((total, total), dtype=complex)
+    pos = 0
+    for a, b in parts:
+        d = a.shape[0]
+        A[pos:pos + d, pos:pos + d] = a
+        B[pos:pos + d, pos:pos + d] = b
+        pos += d
     return SkewPair(A, B)
 
 
 def direct_sum(pairs: list[SkewPair]) -> SkewPair:
     """Block-diagonal sum of skew pairs; the empty sum is the 0x0 pair."""
-    total = sum(p.n for p in pairs)
-    A = np.zeros((total, total), dtype=complex)
-    B = np.zeros((total, total), dtype=complex)
-    pos = 0
-    for p in pairs:
-        A[pos:pos + p.n, pos:pos + p.n] = p.A
-        B[pos:pos + p.n, pos:pos + p.n] = p.B
-        pos += p.n
-    return SkewPair(A, B)
+    return _block_diagonal([(p.A, p.B) for p in pairs])
 
 
 def make_structure_pair(structure: CanonicalStructure) -> SkewPair:
-    """Canonical pair of a whole structure (direct sum in canonical order)."""
-    return direct_sum([make_block(b) for b in structure.blocks])
+    """Canonical pair of a whole structure (direct sum in canonical order).
+
+    The sum is validated once, not block by block.
+    """
+    return _block_diagonal([_block_matrices(b) for b in structure.blocks])
 
 
 def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:

@@ -62,7 +62,7 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     """
     has_imag = any(im for col in columns for (_, im) in col.values())
     if not has_imag:
-        rows = [{c: re for c, (re, _) in col.items() if re} for col in columns]
+        rows = [{c: re for c, (re, _) in col.items()} for col in columns]
         return sparse_int_rank(rows)
     rows = []
     for col in columns:
@@ -119,26 +119,23 @@ def pair_to_gaussian_ints(pair: SkewPair) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Returns object arrays of python ints (Are, Aim, Bre, Bim) equal to the
     original entries times a common positive denominator.  Scaling a pair
-    scales its tangent map, leaving every rank unchanged.
+    scales its tangent map, leaving every rank unchanged.  Only the nonzero
+    entries are converted, each to its exact ratio of integers; zeros stay
+    the int 0.
     """
     parts = []
     denom = 1
     for M in (pair.A, pair.B):
-        re = [[Fraction(x) for x in row] for row in M.real.tolist()]
-        im = [[Fraction(x) for x in row] for row in M.imag.tolist()]
-        parts.append((re, im))
-        for grid in (re, im):
-            for row in grid:
-                for f in row:
-                    denom = lcm(denom, f.denominator)
+        rows, cols = np.nonzero(M)
+        ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in M[rows, cols].tolist()]
+        denom = lcm(denom, *(d for ri in ratios for _, d in ri))
+        parts.append((rows.tolist(), cols.tolist(), ratios))
     out = []
-    for re, im in parts:
-        for grid in (re, im):
-            n = len(grid)
-            arr = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(n):
-                    f = grid[i][j] * denom
-                    arr[i, j] = int(f)
-            out.append(arr)
+    for rows, cols, ratios in parts:
+        re = np.zeros((pair.n, pair.n), dtype=object)
+        im = np.zeros((pair.n, pair.n), dtype=object)
+        for i, j, ((a, da), (b, db)) in zip(rows, cols, ratios):
+            re[i, j] = a * (denom // da)
+            im[i, j] = b * (denom // db)
+        out += [re, im]
     return out[0], out[1], out[2], out[3]

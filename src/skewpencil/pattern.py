@@ -203,8 +203,8 @@ class StarPattern:
         """Strictly-upper star positions as (matrix, i, j), matrix 0 = A."""
         out = []
         for which, mask in ((0, self.mask_a), (1, self.mask_b)):
-            for i, j in zip(*np.nonzero(np.triu(mask, 1))):
-                out.append((which, int(i), int(j)))
+            rows, cols = np.nonzero(mask)
+            out += [(which, i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
         return out
 
     def to_json(self) -> dict:
@@ -214,6 +214,38 @@ class StarPattern:
             "maskB": self.mask_b.astype(int).tolist(),
             "params": self.params,
         }
+
+
+def snap_eigenvalues(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> CanonicalStructure:
+    """Give H eigenvalues that ``assemble`` would merge one common value.
+
+    The distinct H eigenvalues are clustered by single linkage: two share a
+    cluster when a chain of steps of at most ``lambda_tol`` joins them.
+    Each cluster is set to its first member in canonical order.  Eigenvalues
+    of distinct clusters then lie more than ``lambda_tol`` apart, so the
+    pattern merges exactly the equal ones and matches the pair built from
+    the same structure.  ``lambda_tol=0`` returns the structure unchanged.
+    """
+    lams: list[complex] = []
+    for b in structure.blocks:
+        if b.kind == "H" and b.lam not in lams:
+            lams.append(b.lam)
+    root = list(range(len(lams)))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for a in range(len(lams)):
+        for b in range(a):
+            if abs(lams[a] - lams[b]) <= lambda_tol:
+                ra, rb = find(a), find(b)
+                root[max(ra, rb)] = min(ra, rb)
+    snapped = {lam: lams[find(a)] for a, lam in enumerate(lams)}
+    return CanonicalStructure(tuple(
+        b if b.kind != "H" or snapped[b.lam] == b.lam else CanonicalBlock("H", b.n, snapped[b.lam])
+        for b in structure.blocks))
 
 
 def assemble(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> StarPattern:

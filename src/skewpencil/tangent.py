@@ -107,28 +107,29 @@ def _off_rows(pattern: StarPattern) -> list[int]:
 
 
 def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
-    """Tangent columns over scaled Gaussian integers, as sparse coord dicts."""
+    """Nonzero tangent columns over scaled Gaussian integers, as sparse coord dicts.
+
+    Columns come in the order of their elementary matrices E_ij (index
+    i*n + j).  The image of E_ij holds M[i, q] at (j, q) and M[p, i] at
+    (p, j), so each nonzero M[r, c] is written once per column it reaches:
+    to (j, c) of E_rj for j < c, and to (r, j) of E_cj for j > r.  No two
+    entries reach the same coordinate of one column.
+    """
     Are, Aim, Bre, Bim = pair_to_gaussian_ints(pair)
     n = pair.n
     start = _upper_row_starts(n)
     m = n * (n - 1) // 2
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            col: dict[int, tuple[int, int]] = {}
-            for re, im, off in ((Are, Aim, 0), (Bre, Bim, m)):
-                # M[i, q] goes to (j, q) and M[p, i] to (p, j): disjoint, one term each
-                for q in range(j + 1, n):
-                    vr, vi = int(re[i, q]), int(im[i, q])
-                    if vr or vi:
-                        col[off + start[j] + q] = (vr, vi)
-                for p in range(j):
-                    vr, vi = int(re[p, i]), int(im[p, i])
-                    if vr or vi:
-                        col[off + start[p] + j] = (vr, vi)
-            if col:
-                cols.append(col)
-    return cols
+    cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(n * n)]
+    for M, re, im, off in ((pair.A, Are, Aim, 0), (pair.B, Bre, Bim, m)):
+        rows, cs = np.nonzero(M)
+        for r, c in zip(rows.tolist(), cs.tolist()):
+            v = (re[r, c], im[r, c])
+            for col, s in zip(cols[r * n:r * n + c], start):
+                col[off + s + c] = v
+            base = off + start[r]
+            for j, col in enumerate(cols[c * n + r + 1:c * n + n], r + 1):
+                col[base + j] = v
+    return [col for col in cols if col]
 
 
 def _off_pattern_solve(tm: TangentMap, pattern: StarPattern, C: SkewPair) -> np.ndarray:
@@ -216,20 +217,45 @@ def verify_pairwise(
     """Blockwise miniversality: each single block and each pair of blocks.
 
     The full pattern is miniversal exactly when every one- and two-summand
-    substructure passes its own direct-sum check; this runs all of them.
+    substructure passes its own direct-sum check.  Reports come for (i, i)
+    in block order, then for each i < j.  A substructure is determined by
+    its blocks, so each distinct one is checked once and its report is
+    reused at every (i, j) with the same blocks.
     """
-    out = []
     blocks = structure.blocks
-    for i in range(len(blocks)):
-        sub = CanonicalStructure((blocks[i],))
-        rep = verify_direct_sum(make_structure_pair(sub), assemble(sub, lambda_tol), backend)
-        out.append(PairwiseReport(i, i, rep))
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            sub = CanonicalStructure((blocks[i], blocks[j]))
-            rep = verify_direct_sum(make_structure_pair(sub), assemble(sub, lambda_tol), backend)
-            out.append(PairwiseReport(i, j, rep))
+    k = len(blocks)
+    index = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+    memo: dict[tuple, DecompositionReport] = {}
+    out = []
+    for i, j in index:
+        key = (blocks[i],) if i == j else (blocks[i], blocks[j])
+        if key not in memo:
+            sub = CanonicalStructure(key)
+            memo[key] = verify_direct_sum(make_structure_pair(sub), assemble(sub, lambda_tol), backend)
+        out.append(PairwiseReport(i, j, memo[key]))
     return out
+
+
+def global_from_pairwise(n: int, pairwise: list[PairwiseReport]) -> DecompositionReport:
+    """The direct-sum report of a whole canonical structure, from its pairwise reports.
+
+    ``pairwise`` is :func:`verify_pairwise` of a structure of dimension n.
+    For a block-diagonal pair, the (i, j) block of C^T A + A C depends only
+    on C_ij and C_ji, and ``assemble`` renders each diagonal block and each
+    block pair on its own.  So the tangent map and the star span split into
+    one piece per block and one per block pair i < j, and the two-block
+    report (i, j) counts pieces i, j and (i, j).  Each of rank_T, p,
+    rank[T|D] and hence the intersection is therefore
+    sum_i r_ii + sum_{i<j} (R_ij - r_ii - r_jj): with k blocks, weight 1
+    on the two-block reports and 2 - k on the one-block reports.
+    """
+    k = sum(e.i == e.j for e in pairwise)
+    weights = [2 - k if e.i == e.j else 1 for e in pairwise]
+
+    def total(field: str) -> int:
+        return sum(w * getattr(e.report, field) for w, e in zip(weights, pairwise))
+
+    return DecompositionReport(total("rank_t"), total("params_p"), n * (n - 1), total("intersection_dim"))
 
 
 def project_to_pattern(

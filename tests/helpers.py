@@ -3,12 +3,21 @@
 The tangent matrix here is built by brute force (explicit elementary
 matrices and full products), ranks come straight from numpy's SVD, and the
 structure counter is a plain partition-style DP; none of them share code
-with the package paths they check.
+with the package paths they check.  The one exception is the pairwise
+loop, which is ``verify_pairwise`` without its reuse of equal substructures
+and so the reference for that reuse alone.
 """
 
 import numpy as np
 
-from skewpencil import SkewPair
+from skewpencil import (
+    CanonicalStructure,
+    PairwiseReport,
+    SkewPair,
+    assemble,
+    make_structure_pair,
+    verify_direct_sum,
+)
 
 
 def brute_tangent_matrix(pair: SkewPair) -> np.ndarray:
@@ -57,6 +66,19 @@ def brute_direct_sum_check(pair, stars_a, stars_b):
     rank_td = svd_rank(np.hstack([T, D]))
     ok = rank_t + p == 2 * m and rank_td == rank_t + p
     return rank_t, p, 2 * m, ok
+
+
+def pairwise_reports_unmemoised(structure, backend="exact"):
+    """verify_pairwise without reuse: one direct-sum check per (i, j)."""
+    blocks = structure.blocks
+    index = [(i, i) for i in range(len(blocks))]
+    index += [(i, j) for i in range(len(blocks)) for j in range(i + 1, len(blocks))]
+    out = []
+    for i, j in index:
+        sub = CanonicalStructure((blocks[i],) if i == j else (blocks[i], blocks[j]))
+        rep = verify_direct_sum(make_structure_pair(sub), assemble(sub), backend)
+        out.append(PairwiseReport(i, j, rep))
+    return out
 
 
 def upper_stars(mask) -> set:

@@ -11,6 +11,7 @@ from skewpencil import (
     pair_to_json,
     structure_to_json,
 )
+from skewpencil import pattern as pattern_module
 from skewpencil.cli import main
 
 from helpers import count_structures_dp, random_skew_pair
@@ -60,17 +61,50 @@ def test_verify_command_ok(tmp_path, capsys):
     assert obj["global"]["ambient"] == 2
 
 
-def test_verify_exit_1_on_failure(tmp_path, capsys):
-    # eigenvalues closer than the pattern tolerance but exactly distinct:
-    # the pattern takes the equal-eigenvalue branch while the exact ranks
-    # see two different eigenvalues, so the direct sum overshoots
-    _, path = write_structure(
-        tmp_path, (CanonicalBlock("H", 1, 0.0), CanonicalBlock("H", 1, 1e-11)))
-    code, out, _ = run(capsys, ["verify", str(path)])
+def test_verify_exit_1_on_failure(tmp_path, capsys, monkeypatch):
+    # a pattern builder that drops the star of every H diagonal block leaves
+    # the H_1 block one parameter short, alone and paired with L_0
+    diag_block = pattern_module.diag_block
+
+    def diag_block_without_h_star(block):
+        mask_a, mask_b = diag_block(block)
+        return mask_a, mask_b & (block.kind != "H")
+
+    monkeypatch.setattr(pattern_module, "diag_block", diag_block_without_h_star)
+    _, path = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 0)))
+    code, out, err = run(capsys, ["verify", str(path)])
     assert code == 1
     obj = json.loads(out)
     assert not obj["all_ok"]
-    assert obj["global"]["rank_T"] + obj["global"]["params_p"] > obj["global"]["ambient"]
+    assert obj["global"]["rank_T"] + obj["global"]["params_p"] < obj["global"]["ambient"]
+    failing = [(e["i"], e["j"]) for e in obj["pairwise"] if not e["report"]["direct_sum_ok"]]
+    assert failing == [(0, 0), (0, 1)]
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("skewpencil: verify: block pair (0, 0) ")
+    assert lines[1].startswith("skewpencil: verify: block pair (0, 1) ")
+
+
+def test_verify_close_eigenvalues_exit_0(tmp_path, capsys):
+    # eigenvalues within the tolerance but not equal are snapped to one
+    # value, so the pattern and the pair describe the same structure
+    _, path = write_structure(
+        tmp_path, (CanonicalBlock("H", 1, 0.0), CanonicalBlock("H", 1, 1e-11)))
+    for backend in ("exact", "float"):
+        code, out, err = run(capsys, ["verify", str(path), "--backend", backend])
+        assert code == 0 and err == ""
+        assert json.loads(out)["all_ok"]
+
+
+def test_eigenvalue_chain_is_one_cluster(tmp_path, capsys):
+    # 0 and 1.2e-10 are farther apart than the tolerance, but the chain
+    # through 0.6e-10 joins them: the pattern is that of 3 x H_1(0)
+    _, chain = write_structure(
+        tmp_path, tuple(CanonicalBlock("H", 1, lam) for lam in (0.0, 0.6e-10, 1.2e-10)), "chain.json")
+    _, equal = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),) * 3, "equal.json")
+    for command in ("pattern", "codim", "verify"):
+        code, out, _ = run(capsys, [command, str(chain)])
+        assert (code, out) == run(capsys, [command, str(equal)])[:2], command
 
 
 def test_verify_float_backend(tmp_path, capsys):

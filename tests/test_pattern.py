@@ -10,6 +10,7 @@ from skewpencil import (
     make_structure_pair,
     offdiag_block,
     render_shape,
+    snap_eigenvalues,
 )
 
 from helpers import brute_direct_sum_check, upper_stars
@@ -251,3 +252,22 @@ def test_rank_plus_params_small_corpus():
             pair, upper_stars(pat.mask_a), upper_stars(pat.mask_b))
         assert ok, st
         assert rank_t + pat.params == st.dim * (st.dim - 1)
+
+
+def test_snap_eigenvalues():
+    def h(lam, n=1):
+        return CanonicalBlock("H", n, lam)
+
+    st = CanonicalStructure((h(1.2e-10), h(0.0, 2), h(0.6e-10), h(1j), h(1j + 5e-11), h(1.0),
+                             CanonicalBlock("K", 1), CanonicalBlock("L", 0)))
+    snapped = snap_eigenvalues(st, 1e-10)
+    # the chain 0, 0.6e-10, 1.2e-10 is one cluster, set to its first member 0;
+    # i and i + 5e-11 snap to i, which comes first in canonical order
+    assert snapped == CanonicalStructure((h(0.0, 2), h(0.0), h(0.0), h(1j), h(1j), h(1.0),
+                                          CanonicalBlock("K", 1), CanonicalBlock("L", 0)))
+    assert snap_eigenvalues(snapped, 1e-10) == snapped
+    assert snap_eigenvalues(st, 0) == st
+    assert snap_eigenvalues(st, 1e-11) == st
+    # after snapping, distinct eigenvalues are farther apart than the tolerance
+    lams = {b.lam for b in snapped.blocks if b.kind == "H"}
+    assert all(abs(a - b) > 1e-10 for a in lams for b in lams if a != b)

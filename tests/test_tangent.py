@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from skewpencil import (
     CanonicalBlock,
@@ -11,6 +12,7 @@ from skewpencil import (
     congruence,
     enumerate_structures,
     float_rank,
+    global_from_pairwise,
     make_block,
     make_structure_pair,
     pair_coords,
@@ -21,7 +23,10 @@ from skewpencil import (
     verify_pairwise,
 )
 
-from helpers import brute_tangent_matrix, random_skew_pair, svd_rank
+from skewpencil import tangent as tangent_module
+from skewpencil.tangent import _exact_tangent_columns
+
+from helpers import brute_tangent_matrix, pairwise_reports_unmemoised, random_skew_pair, svd_rank
 
 
 def empty_pattern(n):
@@ -255,3 +260,93 @@ def test_pairwise_single_block():
     reports = verify_pairwise(st)
     assert len(reports) == 1 and reports[0].i == reports[0].j == 0
     assert reports[0].report.direct_sum_ok
+
+
+# the benchmark's verify ladder as (kind, size, eigenvalue, multiplicity),
+# plus one structure of dimension 210
+LADDER = {
+    "n10": (("H", 1, 0, 1), ("H", 1, 1, 1), ("K", 1, 0, 1), ("L", 1, 0, 1), ("L", 0, 0, 1)),
+    "n21": (("H", 2, 0, 1), ("H", 1, 0, 1), ("H", 1, 1, 1), ("K", 2, 0, 1), ("K", 1, 0, 2),
+            ("L", 1, 0, 1), ("L", 0, 0, 2)),
+    "n35": (("H", 2, 0, 3), ("H", 2, 1, 1), ("H", 1, 1, 2), ("K", 1, 0, 2), ("L", 1, 0, 3),
+            ("L", 0, 0, 2)),
+    "n45i": (("H", 2, 0, 3), ("H", 2, 1, 2), ("H", 1, 1j, 2), ("K", 2, 0, 2), ("K", 1, 0, 1),
+             ("L", 1, 0, 3), ("L", 0, 0, 2)),
+    "n56": (("H", 2, 0, 8), ("L", 1, 0, 8)),
+    "n210": (("H", 2, 0, 20), ("L", 1, 0, 20), ("H", 1, 1j, 10), ("K", 2, 0, 10), ("L", 0, 0, 10)),
+}
+
+
+def ladder_structure(name):
+    return CanonicalStructure(tuple(
+        CanonicalBlock(kind, n, lam) for kind, n, lam, mult in LADDER[name] for _ in range(mult)))
+
+
+def test_global_from_pairwise_on_corpus():
+    for st in enumerate_structures(8):
+        pair, pat = make_structure_pair(st), assemble(st)
+        backends = ("exact", "float") if st.dim <= 6 else ("exact",)
+        for backend in backends:
+            derived = global_from_pairwise(st.dim, verify_pairwise(st, backend))
+            assert derived == verify_direct_sum(pair, pat, backend), (st, backend)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_global_from_pairwise_on_ladder(name):
+    st = ladder_structure(name)
+    assert st.dim == int(name[1:].rstrip("i"))
+    derived = global_from_pairwise(st.dim, verify_pairwise(st))
+    assert derived == verify_direct_sum(make_structure_pair(st), assemble(st))
+    assert derived.direct_sum_ok
+
+
+def test_pairwise_checks_each_distinct_substructure_once(monkeypatch):
+    st = ladder_structure("n56")
+    calls = []
+
+    def counting(pair, pattern, backend="exact"):
+        calls.append(pair.n)
+        return verify_direct_sum(pair, pattern, backend)
+
+    monkeypatch.setattr(tangent_module, "verify_direct_sum", counting)
+    reports = verify_pairwise(st)
+    # H_2(0), L_1, and the pairs H_2 H_2, H_2 L_1, L_1 L_1
+    assert sorted(calls) == [3, 4, 6, 7, 8]
+    monkeypatch.undo()
+    assert reports == pairwise_reports_unmemoised(st)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exact_tangent_columns_match_brute_oracle(n):
+    rng = np.random.default_rng(60 + n)
+
+    def skew():
+        M = np.triu(rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n)), 1)
+        return M - M.T
+
+    pair = SkewPair(skew(), skew())
+    T = brute_tangent_matrix(pair)
+    expected = [{int(k): (int(T[k, c].real), int(T[k, c].imag)) for k in np.flatnonzero(T[:, c])}
+                for c in range(n * n) if T[:, c].any()]
+    assert _exact_tangent_columns(pair) == expected
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+CORPUS_6 = enumerate_structures(6)
+
+
+@PROPERTY
+@given(hs.data())
+def test_exact_report_permutation_invariant_and_equal_to_float(data):
+    # a simultaneous permutation of the pair and the pattern spreads each
+    # block over non-contiguous rows and columns
+    st = data.draw(hs.sampled_from(CORPUS_6))
+    pair, pat = make_structure_pair(st), assemble(st)
+    perm = data.draw(hs.permutations(range(st.dim)))
+    ix = np.ix_(perm, perm)
+    moved = SkewPair(pair.A[ix], pair.B[ix])
+    moved_pat = StarPattern(st.dim, pat.mask_a[ix], pat.mask_b[ix])
+    exact = verify_direct_sum(pair, pat)
+    assert verify_direct_sum(moved, moved_pat) == exact
+    assert verify_direct_sum(pair, pat, backend="float") == exact
+    assert verify_direct_sum(moved, moved_pat, backend="float") == exact
