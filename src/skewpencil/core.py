@@ -254,7 +254,7 @@ def frobenius_off_pattern(M: np.ndarray, mask: np.ndarray) -> float:
 
 def matrix_to_json(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
-    entries = [[float(z.real), float(z.imag)] for z in M.ravel()]
+    entries = np.stack((M.real, M.imag), -1).reshape(-1, 2).tolist()
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "entries": entries}
 
 
@@ -287,8 +287,19 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
-    flat = np.array([_json_complex(z, "matrix entry") for z in entries], dtype=complex)
-    return flat.reshape(rows, cols)
+    try:
+        # json gives int, float, bool, str, None, list or dict; only the first two are numbers
+        numbers = {type(x) for z in entries for x in z} <= {int, float}
+        flat = np.array(entries, dtype=float).reshape(rows * cols, 2)
+    except OverflowError:
+        raise ValueError("matrix entry is too large for a float") from None
+    except (TypeError, ValueError):
+        numbers = False
+    if not numbers:
+        bad = next(z for z in entries if not (type(z) is list and len(z) == 2
+                                              and {type(x) for x in z} <= {int, float}))
+        raise ValueError(f"matrix entry must be an [re, im] pair of numbers, got {bad!r}")
+    return flat.view(complex).reshape(rows, cols)
 
 
 def pair_to_json(pair: SkewPair) -> dict:

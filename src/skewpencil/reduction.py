@@ -3,9 +3,13 @@
 Given a canonical pair (A, B), its star pattern, and a nearby skew pair
 (A + M, B + R), the reduction builds congruences S_i = I + X_i whose
 product S brings the perturbed pair to (A, B) + D with D supported on the
-stars.  Each X_i solves a linear system whose coefficients come from the
-current perturbed pair, and the off-pattern residual decays quadratically
-inside the guaranteed basin (and usually far outside it).
+stars.  Each X_i is a Newton correction: the minimum-norm solution of the
+off-pattern tangent equations at the current pair, so the off-pattern
+residual decays quadratically inside the guaranteed basin (and usually far
+outside it).  The corrections come from one :class:`OffPatternSolver`
+built at the base: the tangent map is applied as O(n^3) matrix products,
+never formed, and the linear systems are solved by conjugate gradients
+preconditioned with per-block-pair factors of the base.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .core import SkewPair, congruence, frobenius_off_pattern
 from .pattern import StarPattern
-from .tangent import _off_pattern_solve, _off_rows, tangent_map
+from .tangent import OffPatternSolver, _off_rows, tangent_map
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 30
@@ -110,18 +114,28 @@ def correction_step(base: SkewPair, current: SkewPair, pattern: StarPattern) -> 
 
     Solves (minimum-norm) for X with the off-pattern part of
     (M, R) + X^T P + P X equal to zero, where (M, R) = current - base and
-    P = current, the pair being reduced.
+    P = current, the pair being reduced: one solve of an
+    :class:`OffPatternSolver` built at ``base``.
     Raises :class:`DirectSumError` when the system is inconsistent, which
     signals a failing direct sum or a perturbation outside the chart.
     """
-    return _off_pattern_solve(tangent_map(current), pattern, current - base)
+    return OffPatternSolver(base, pattern).solve(current, current - base)[0]
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One Newton step: the correction, the residuals after it, and its solve.
+
+    ``solve_residual`` is the off-pattern residual of the linear correction
+    system relative to max(1, ||c_off||), and ``sweeps`` the number of
+    preconditioned conjugate-gradient sweeps the solve took.
+    """
+
     X: np.ndarray
     off_pattern_norm: float
     full_norm: float
+    solve_residual: float
+    sweeps: int
 
 
 @dataclass(frozen=True)
@@ -153,6 +167,8 @@ class ReductionTrace:
                     "X": matrix_to_json(it.X),
                     "off_pattern_norm": it.off_pattern_norm,
                     "full_norm": it.full_norm,
+                    "solve_residual": it.solve_residual,
+                    "sweeps": it.sweeps,
                 }
                 for it in self.iterations
             ],
@@ -188,14 +204,16 @@ def reduce_pair(
     initial_full = (P - base).norm()
     records: list[IterationRecord] = []
     off = initial_off
+    solver = None  # built on the first iteration, so a pair already in pattern form needs none
     while off > tol and len(records) < max_iter:
-        X = correction_step(base, P, pattern)
+        solver = solver or OffPatternSolver(base, pattern)
+        X, solve_residual, sweeps = solver.solve(P, P - base)
         step = np.eye(n, dtype=complex) + X
         P = congruence(P, step)
         S = S @ step
         delta = P - base
         off = pair_off_norm(delta, pattern)
-        records.append(IterationRecord(X, off, delta.norm()))
+        records.append(IterationRecord(X, off, delta.norm(), solve_residual, sweeps))
     return ReductionTrace(
         converged=off <= tol,
         iterations=tuple(records),

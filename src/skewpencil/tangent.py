@@ -6,7 +6,8 @@ the pair exactly when the space of skew pairs splits as the direct sum of
 T(A, B) and the span of the star directions; this module computes the
 explicit tangent matrix, checks the splitting (exactly, by default), and
 projects arbitrary skew pairs onto their unique pattern-form coset
-representative.
+representative.  :class:`OffPatternSolver` finds the same minimum-norm
+corrections at pairs near a base without forming the tangent matrix.
 """
 
 from __future__ import annotations
@@ -142,6 +143,146 @@ def _off_pattern_solve(tm: TangentMap, pattern: StarPattern, C: SkewPair) -> np.
     if residual > 1e-7 * max(1.0, np.linalg.norm(c_off)):
         raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
     return s.reshape(tm.n, tm.n)
+
+
+#: relative Gram residual at which a correction solve stops
+SOLVE_RTOL = 1e-15
+#: cap on preconditioned conjugate-gradient sweeps per correction solve
+MAX_SWEEPS = 200
+
+
+def _components(pair: SkewPair) -> np.ndarray:
+    """Label of each index's connected component in the nonzero graph of A | B.
+
+    Components are numbered 0, 1, ... in the order of their smallest index.
+    """
+    adj = (pair.A != 0) | (pair.B != 0)
+    # each index takes the smallest label among itself and its neighbours
+    # until nothing changes: then every index holds its component's smallest index
+    label = np.arange(pair.n)
+    while True:
+        smaller = np.where(adj, label, label[:, None]).min(axis=1, initial=pair.n)
+        if np.array_equal(smaller, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = smaller
+
+
+class OffPatternSolver:
+    """Minimum-norm Newton corrections off a star pattern, without the dense tangent.
+
+    Built once from the base pair and its pattern.  :meth:`solve` at a
+    nearby pair P finds the minimum-norm X with C + X^T P + P X zero off the
+    stars: X = T^H y with (T T^H) y = -c, T the off-pattern rows of the
+    tangent map at P and c those of C.  T is applied matrix-free,
+    T(X) = upper off coordinates of (X^T A + A X, X^T B + B X), and
+    T^H(Y) = sum over M of conj(M) (Y^T - Y), each O(n^3).  The Gram system
+    is solved by conjugate gradients preconditioned with T T^H at the base.
+
+    At the base that preconditioner is block diagonal: the pieces are the
+    unordered pairs {a, b} of connected components of the base's nonzero
+    graph, and the off coordinates of output block (a, b) depend only on
+    X_ab and X_ba.  Each piece's Gram matrix is inverted once through its
+    singular value decomposition; equal Gram matrices (repeated blocks)
+    share one factorisation.
+    """
+
+    def __init__(self, base: SkewPair, pattern: StarPattern):
+        if pattern.n != base.n:
+            raise ValueError("pattern dimension does not match pair")
+        n = self.n = base.n
+        # off coordinate (w, i, j), i < j, of matrix w (0 = A, 1 = B) sits at row
+        # w*n + i of a stacked 2n x n array; up/down are the flat indices of (i, j)/(j, i)
+        w, i, j = np.nonzero(~np.stack([pattern.mask_a, pattern.mask_b])
+                             & (np.arange(n)[:, None] < np.arange(n)))
+        self._up, self._down = (w * n + i) * n + j, (w * n + j) * n + i
+        label = _components(base)
+        piece = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
+        order = np.argsort(piece, kind="stable")
+        _, starts, sizes = np.unique(piece[order], return_index=True, return_counts=True)
+        # Gram entry (r, s) is <T^H e_r, T^H e_s>.  For r = (w, i, j), T^H e_r has
+        # column i = conj(M_w)[:, j] and column j = -conj(M_w)[:, i], so each entry
+        # is a signed sum of entries of H, H[w*n + p, v*n + q] = (M_w^T conj(M_v))[p, q]
+        K = np.hstack([base.A, base.B])
+        H = K.T @ K.conj()
+        wi, wj = w * n + i, w * n + j
+        self._pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        for size in sorted(set(sizes.tolist())):
+            rows = order[starts[sizes == size][:, None] + np.arange(size)]
+            r_i, r_j, r_wi, r_wj = (x[rows][:, :, None] for x in (i, j, wi, wj))
+            s_i, s_j, s_wi, s_wj = (x[rows][:, None, :] for x in (i, j, wi, wj))
+            grams = ((r_i == s_i) * H[r_wj, s_wj] - (r_i == s_j) * H[r_wj, s_wi]
+                     - (r_j == s_i) * H[r_wi, s_wj] + (r_j == s_j) * H[r_wi, s_wi]) + 0.0
+            # equal pieces (repeated blocks) have equal Gram matrices and share one factor
+            distinct: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
+            for g, r in zip(grams, rows):
+                distinct.setdefault(g.tobytes(), (g, []))[1].append(r)
+            pieces = list(distinct.values())
+            U, sigma, Vh = np.linalg.svd(np.stack([g for g, _ in pieces]))
+            # a Gram matrix is positive semidefinite; it is definite unless singular
+            # at numpy's matrix_rank cut-off
+            singular = np.nonzero(sigma[:, -1] <= sigma[:, 0] * size * np.finfo(float).eps)[0]
+            if singular.size:
+                first = pieces[singular[0]][1][0][0]
+                a, b = sorted((int(label[i[first]]), int(label[j[first]])))
+                raise DirectSumError(f"piece ({a}, {b}): the off-pattern Gram matrix of base "
+                                     f"components {a} and {b} is not positive definite")
+            G_inv = (Vh.conj().swapaxes(-1, -2) / sigma[:, None, :]) @ U.conj().swapaxes(-1, -2)
+            self._pieces += [(g_inv.T, np.stack(r)) for g_inv, (_, r) in zip(G_inv, pieces)]
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        z = np.empty_like(r)
+        for G_inv_t, rows in self._pieces:
+            z[rows] = r[rows] @ G_inv_t
+        return z
+
+    def _apply(self, AB: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """T X for AB = [A; B]: X^T M + M X = M X - (M X)^T for skew M."""
+        W = (AB @ X).ravel()
+        return W[self._up] - W[self._down]
+
+    def _adjoint(self, AB_bar: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """T^H y for AB_bar = [conj(A) | conj(B)]: Y^T - Y holds y at (j, i), -y at (i, j)."""
+        Z = np.zeros(2 * self.n * self.n, dtype=complex)
+        Z[self._down] = y
+        Z[self._up] = -y
+        return AB_bar @ Z.reshape(2 * self.n, self.n)
+
+    def solve(self, P: SkewPair, C: SkewPair) -> tuple[np.ndarray, float, int]:
+        """(X, solve residual, sweeps): the minimum-norm X with C + X^T P + P X zero off the stars.
+
+        The solve residual is ||T X + c|| / max(1, ||c||); above 1e-7 the
+        system is inconsistent and :class:`DirectSumError` is raised.
+        """
+        AB = np.vstack([P.A, P.B])
+        AB_bar = np.hstack([P.A.conj(), P.B.conj()])
+        c = np.vstack([C.A, C.B]).ravel()[self._up]
+        X = np.zeros((self.n, self.n), dtype=complex)
+        r = -c
+        stop = SOLVE_RTOL * np.linalg.norm(r)
+        sweeps = 0
+        if stop > 0:
+            z = self._precondition(r)
+            p, rz = z, np.vdot(r, z).real
+            while sweeps < MAX_SWEEPS:
+                Xp = self._adjoint(AB_bar, p)
+                q = self._apply(AB, Xp)
+                pq = np.vdot(p, q).real
+                if pq <= 0:
+                    break  # T^H p = 0: the Gram matrix at P is singular
+                alpha = rz / pq
+                X += alpha * Xp
+                r = r - alpha * q
+                sweeps += 1
+                if np.linalg.norm(r) <= stop:
+                    break
+                z = self._precondition(r)
+                rz, rz_old = np.vdot(r, z).real, rz
+                p = z + (rz / rz_old) * p
+        residual = np.linalg.norm(self._apply(AB, X) + c)
+        scale = max(1.0, np.linalg.norm(c))
+        if not residual <= 1e-7 * scale:  # NaN fails too
+            raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
+        return X, float(residual / scale), sweeps
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The tangent matrix here is built by brute force (explicit elementary
 matrices and full products), ranks come straight from numpy's SVD, and the
-structure counter is a plain partition-style DP; none of them share code
-with the package paths they check.  The one exception is the pairwise
-loop, which is ``verify_pairwise`` without its reuse of equal substructures
-and so the reference for that reuse alone.
+structure counter is a plain partition-style DP, and the Newton correction
+is a dense least-squares solve on that matrix; none of them share code with
+the package paths they check.  The one exception is the pairwise loop,
+which is ``verify_pairwise`` without its reuse of equal substructures and
+so the reference for that reuse alone.
 """
 
 import numpy as np
@@ -33,6 +34,21 @@ def brute_tangent_matrix(pair: SkewPair) -> np.ndarray:
             dB = E.T @ pair.B + pair.B @ E
             cols.append(np.concatenate([dA[iu], dB[iu]]))
     return np.array(cols).T
+
+
+def dense_min_norm_correction(base: SkewPair, current: SkewPair, pattern) -> np.ndarray:
+    """Minimum-norm X zeroing (current - base) + X^T current + current X off the stars.
+
+    Dense lstsq on the brute-force tangent matrix of ``current``, restricted
+    to the strictly-upper positions that neither star mask marks.
+    """
+    n = base.n
+    iu = np.triu_indices(n, 1)
+    off = np.concatenate([~pattern.mask_a[iu], ~pattern.mask_b[iu]])
+    delta = current - base
+    c = np.concatenate([delta.A[iu], delta.B[iu]])[off]
+    s, *_ = np.linalg.lstsq(brute_tangent_matrix(current)[off], -c, rcond=None)
+    return s.reshape(n, n)
 
 
 def svd_rank(M: np.ndarray, rtol: float = 1e-9) -> int:

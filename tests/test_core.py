@@ -246,3 +246,22 @@ def test_structure_json_round_trip():
 def test_matrix_json_bad_entry_count():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[0.0, 0.0]]})
+
+
+def test_matrix_json_keeps_signed_zeros():
+    M = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [1e-300 + 3j, complex(-0.0, -2.5)]])
+    out = matrix_to_json(M)
+    assert json.dumps(out) == json.dumps(
+        {"rows": 2, "cols": 2, "entries": [[float(z.real), float(z.imag)] for z in M.ravel()]})
+    assert matrix_from_json(json.loads(json.dumps(out))).tobytes() == M.tobytes()
+
+
+@pytest.mark.parametrize("entry", [[True, 0], ["1", 0], [1, None], [1], [1, 2, 3], [[1], 2], 1, "ab", None])
+def test_matrix_json_rejects_non_number_entries(entry):
+    with pytest.raises(ValueError, match="pair of numbers"):
+        matrix_from_json({"rows": 1, "cols": 2, "entries": [[0.0, 1.0], entry]})
+
+
+def test_matrix_json_entry_too_large():
+    with pytest.raises(ValueError, match="too large"):
+        matrix_from_json({"rows": 1, "cols": 1, "entries": [[10 ** 400, 0]]})

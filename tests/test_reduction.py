@@ -1,22 +1,30 @@
+import json
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from skewpencil import (
     CanonicalBlock,
     CanonicalStructure,
+    DirectSumError,
     IterationSchedule,
     SkewPair,
+    StarPattern,
     assemble,
     congruence,
     correction_step,
+    enumerate_structures,
     make_structure_pair,
     pair_off_norm,
     project_to_pattern,
     reduce_pair,
     schedule_for,
 )
+from skewpencil.tangent import OffPatternSolver, _components
 
-from helpers import random_skew_pair
+from helpers import dense_min_norm_correction, random_skew_pair
 
 
 def setup(blocks):
@@ -121,7 +129,98 @@ def test_correction_is_projection_at_current_pair(blocks):
     _, base, pat = setup(blocks)
     P = perturb(base, random_skew_pair(rng, base.n, scale=1e-3))
     X = correction_step(base, P, pat)
-    assert np.array_equal(X, project_to_pattern(P, pat, P - base)[1])
+    X_proj = project_to_pattern(P, pat, P - base)[1]
+    assert np.linalg.norm(X - X_proj) <= 1e-12 * np.linalg.norm(X_proj)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hs.sampled_from(enumerate_structures(6)), hs.floats(-3, -1), hs.integers(0, 2 ** 32 - 1))
+def test_correction_equals_dense_min_norm_witness(st, log_scale, seed):
+    # the matrix-free preconditioned solve returns the dense minimum-norm lstsq solution
+    base, pat = make_structure_pair(st), assemble(st)
+    P = perturb(base, random_skew_pair(np.random.default_rng(seed), st.dim, scale=10.0 ** log_scale))
+    X = correction_step(base, P, pat)
+    X_ref = dense_min_norm_correction(base, P, pat)
+    assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+
+
+def test_base_factors_are_exact_at_the_base():
+    # at P = base the preconditioner is the Gram matrix itself: CG ends after one
+    # sweep, two when rounding leaves the residual just above the stopping point
+    rng = np.random.default_rng(41)
+    for st in enumerate_structures(6):
+        base, pat = make_structure_pair(st), assemble(st)
+        C = random_skew_pair(rng, st.dim, scale=1.0)
+        X, residual, sweeps = OffPatternSolver(base, pat).solve(base, C)
+        assert sweeps <= 2 and residual <= 1e-13
+        X_proj = project_to_pattern(base, pat, C)[1]
+        assert np.linalg.norm(X - X_proj) <= 1e-12 * np.linalg.norm(X_proj)
+
+
+def test_reduce_non_block_diagonal_base():
+    # a congruence-moved canonical pair is one connected piece; the pattern
+    # of the canonical pair is still transversal to its tangent space
+    rng = np.random.default_rng(42)
+    st, base0, pat = setup((CanonicalBlock("H", 1, 0.0), CanonicalBlock("K", 1), CanonicalBlock("L", 1)))
+    S = np.eye(base0.n) + 0.2 * (rng.standard_normal((base0.n,) * 2) + 1j * rng.standard_normal((base0.n,) * 2))
+    base = congruence(base0, S)
+    # H_1(0) + K_1 + L_1: the canonical pair has one component per block
+    assert _components(base0).tolist() == [0, 0, 1, 1, 2, 2, 2]
+    assert set(_components(base).tolist()) == {0}
+    perturbed = perturb(base, random_skew_pair(rng, base.n, scale=1e-3))
+    X = correction_step(base, perturbed, pat)
+    X_ref = dense_min_norm_correction(base, perturbed, pat)
+    assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
+    trace = reduce_pair(base, perturbed, pat)
+    assert trace.converged and len(trace.iterations) <= 8
+    assert pair_off_norm(congruence(perturbed, trace.S) - base, pat) <= 1e-10
+
+
+def test_correction_with_empty_pattern_raises():
+    # H_1(0) has codimension 1, so no congruence removes the B entry
+    _, base, _ = setup((CanonicalBlock("H", 1, 0.0),))
+    empty = StarPattern(2, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
+    P = perturb(base, random_skew_pair(np.random.default_rng(43), 2, scale=1e-3))
+    with pytest.raises(DirectSumError, match=r"piece \(0, 0\)"):
+        correction_step(base, P, empty)
+
+
+def test_correction_at_the_zero_pair_raises():
+    # the tangent map of the zero pair is zero, so nothing off the stars can be removed
+    _, base, pat = setup((CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 1)))
+    zero = SkewPair(np.zeros((base.n, base.n)), np.zeros((base.n, base.n)))
+    with pytest.raises(DirectSumError, match="no pattern-form representative"):
+        correction_step(base, zero, pat)
+
+
+def test_iteration_records_report_the_solve():
+    rng = np.random.default_rng(44)
+    _, base, pat = setup((CanonicalBlock("H", 2, 1.0), CanonicalBlock("K", 1), CanonicalBlock("L", 1)))
+    perturbed = perturb(base, random_skew_pair(rng, base.n, scale=1e-2))
+    runs = [reduce_pair(base, perturbed, pat) for _ in range(2)]
+    assert runs[0].converged and runs[0].iterations
+    for it in runs[0].iterations:
+        assert 0 <= it.solve_residual <= 1e-7
+        assert 1 <= it.sweeps
+    printed = [json.dumps(r.to_json(), sort_keys=True) for r in runs]
+    assert printed[0] == printed[1]
+    for it, out in zip(runs[0].iterations, runs[0].to_json()["iterations"]):
+        assert out["solve_residual"] == it.solve_residual and out["sweeps"] == it.sweeps
+
+
+def test_reduce_at_n100():
+    blocks = ([CanonicalBlock("H", 2, 0.0)] * 8 + [CanonicalBlock("H", 2, 1.0)] * 4
+              + [CanonicalBlock("H", 1, 1j)] * 4 + [CanonicalBlock("K", 2)] * 4
+              + [CanonicalBlock("K", 1)] * 4 + [CanonicalBlock("L", 1)] * 4 + [CanonicalBlock("L", 0)] * 8)
+    st, base, pat = setup(tuple(blocks))
+    assert base.n == 100
+    perturbed = perturb(base, random_skew_pair(np.random.default_rng(45), 100, scale=1e-3))
+    start = time.perf_counter()
+    trace = reduce_pair(base, perturbed, pat)
+    elapsed = time.perf_counter() - start
+    assert trace.converged and len(trace.iterations) <= 8
+    assert pair_off_norm(congruence(perturbed, trace.S) - base, pat) <= 1e-10
+    assert elapsed < 60
 
 
 def test_reduce_agrees_with_projection_to_first_order():

@@ -350,3 +350,20 @@ def test_exact_report_permutation_invariant_and_equal_to_float(data):
     assert verify_direct_sum(moved, moved_pat) == exact
     assert verify_direct_sum(pair, pat, backend="float") == exact
     assert verify_direct_sum(moved, moved_pat, backend="float") == exact
+
+
+@PROPERTY
+@given(hs.sampled_from(CORPUS_6), hs.integers(0, 2 ** 32 - 1),
+       hs.lists(hs.floats(0.5, 2.0), min_size=6, max_size=6))
+def test_tangent_rank_invariant_under_random_congruence(st, seed, singular_values):
+    # S = U diag(sigma) V with unitary U, V and sigma in [0.5, 2], so cond(S) <= 4
+    rng = np.random.default_rng(seed)
+    n = st.dim
+
+    def unitary():
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return Q
+
+    S = unitary() @ np.diag(singular_values[:n]) @ unitary()
+    moved = congruence(make_structure_pair(st), S)
+    assert float_rank(tangent_map(moved).matrix) == n * (n - 1) - assemble(st).params
