@@ -219,7 +219,9 @@ def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:
     S = np.asarray(S, dtype=complex)
     if S.shape != (pair.n, pair.n):
         raise ValueError(f"S must be {pair.n}x{pair.n}, got {S.shape}")
-    if pair.n > 0:
+    # ||S - I||_F <= 1/2 puts every singular value of S in [1/2, 3/2], so
+    # cond(S) <= 3 and the SVD behind np.linalg.cond is skipped
+    if pair.n > 0 and np.linalg.norm(S - np.eye(pair.n)) > 0.5:
         cond = np.linalg.cond(S)
         if not np.isfinite(cond) or cond > 1e12:
             warnings.warn(f"congruence matrix is ill-conditioned (cond ~ {cond:.2e})")

@@ -10,7 +10,6 @@ fraction-free elimination over the integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
@@ -83,35 +82,6 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     if r % 2:
         raise AssertionError("realified rank must be even")
     return r // 2
-
-
-def dense_fraction_rank(M: list[list[Fraction]]) -> int:
-    """Plain Gaussian elimination over the rationals (cross-check oracle)."""
-    M = [list(row) for row in M]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    rank, prow = 0, 0
-    for c in range(ncols):
-        piv = None
-        for r in range(prow, nrows):
-            if M[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[prow], M[piv] = M[piv], M[prow]
-        pv = M[prow][c]
-        for r in range(prow + 1, nrows):
-            if M[r][c] != 0:
-                f = M[r][c] / pv
-                for k in range(c, ncols):
-                    M[r][k] -= f * M[prow][k]
-        rank += 1
-        prow += 1
-        if prow == nrows:
-            break
-    return rank
 
 
 def pair_to_gaussian_ints(pair: SkewPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

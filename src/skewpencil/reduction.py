@@ -6,10 +6,11 @@ product S brings the perturbed pair to (A, B) + D with D supported on the
 stars.  Each X_i is a Newton correction: the minimum-norm solution of the
 off-pattern tangent equations at the current pair, so the off-pattern
 residual decays quadratically inside the guaranteed basin (and usually far
-outside it).  The corrections come from one :class:`OffPatternSolver`
-built at the base: the tangent map is applied as O(n^3) matrix products,
-never formed, and the linear systems are solved by conjugate gradients
-preconditioned with per-block-pair factors of the base.
+outside it).  The corrections and the schedule constant come from the base
+chart of (base, pattern) (:class:`~skewpencil.tangent.OffPatternSolver`):
+the tangent map is applied as O(n^3) matrix products, never formed, and
+the linear systems are solved by conjugate gradients preconditioned with
+per-block-pair factors of the base.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import SkewPair, congruence, frobenius_off_pattern
 from .pattern import StarPattern
-from .tangent import OffPatternSolver, _off_rows, tangent_map
+from .tangent import _chart
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 30
@@ -114,12 +115,12 @@ def correction_step(base: SkewPair, current: SkewPair, pattern: StarPattern) -> 
 
     Solves (minimum-norm) for X with the off-pattern part of
     (M, R) + X^T P + P X equal to zero, where (M, R) = current - base and
-    P = current, the pair being reduced: one solve of an
-    :class:`OffPatternSolver` built at ``base``.
+    P = current, the pair being reduced: one solve of the base chart of
+    (base, pattern).
     Raises :class:`DirectSumError` when the system is inconsistent, which
     signals a failing direct sum or a perturbation outside the chart.
     """
-    return OffPatternSolver(base, pattern).solve(current, current - base)[0]
+    return _chart(base, pattern).solve(current, current - base)[0]
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,8 @@ def reduce_pair(
     initial_full = (P - base).norm()
     records: list[IterationRecord] = []
     off = initial_off
-    solver = None  # built on the first iteration, so a pair already in pattern form needs none
     while off > tol and len(records) < max_iter:
-        solver = solver or OffPatternSolver(base, pattern)
-        X, solve_residual, sweeps = solver.solve(P, P - base)
+        X, solve_residual, sweeps = _chart(base, pattern).solve(P, P - base)
         step = np.eye(n, dtype=complex) + X
         P = congruence(P, step)
         S = S @ step
@@ -230,17 +229,13 @@ def schedule_for(base: SkewPair, pattern: StarPattern) -> IterationSchedule:
 
     c sums the norms of the minimum-norm corrections for the antisymmetric
     unit directions at every non-star off-diagonal position of either
-    matrix (both orientations counted); m is the smallest integer >= 3
-    strictly exceeding c, c(a+1)(2+c), c(b+1)(2+c), c^2(a+1) and c^2(b+1)
-    with a, b the Frobenius norms of the base matrices.
+    matrix (both orientations counted), read off the base chart; m is the
+    smallest integer >= 3 strictly exceeding c, c(a+1)(2+c), c(b+1)(2+c),
+    c^2(a+1) and c^2(b+1) with a, b the Frobenius norms of the base
+    matrices.  Raises :class:`~skewpencil.tangent.DirectSumError` when the
+    tangent space and the stars do not span the skew pairs at the base.
     """
-    off = _off_rows(pattern)
-    if off:
-        P = np.linalg.pinv(tangent_map(base).matrix[off, :])
-        col_norms = np.linalg.norm(P, axis=0)
-        c = 2.0 * float(col_norms.sum())
-    else:
-        c = 0.0
+    c = _chart(base, pattern).schedule_c()
     a = float(np.linalg.norm(base.A))
     b = float(np.linalg.norm(base.B))
     bounds = [c, c * (a + 1) * (2 + c), c * (b + 1) * (2 + c), c * c * (a + 1), c * c * (b + 1)]

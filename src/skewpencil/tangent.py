@@ -3,11 +3,16 @@
 The tangent space at a pair (A, B) is T(A, B) = {(C^T A + A C, C^T B + B C)}
 over all n-by-n matrices C.  A star pattern is a miniversal deformation of
 the pair exactly when the space of skew pairs splits as the direct sum of
-T(A, B) and the span of the star directions; this module computes the
-explicit tangent matrix, checks the splitting (exactly, by default), and
-projects arbitrary skew pairs onto their unique pattern-form coset
-representative.  :class:`OffPatternSolver` finds the same minimum-norm
-corrections at pairs near a base without forming the tangent matrix.
+T(A, B) and the span of the star directions.  This module builds the
+explicit tangent matrix and checks the splitting (exactly, by default).
+
+Projection onto the unique pattern-form coset representative
+(:func:`project_to_pattern`), the schedule constant and the Newton
+corrections of :mod:`~skewpencil.reduction` all use one base chart per
+(base pair, pattern), an :class:`OffPatternSolver`: the minimum-norm chart
+(A + E, B + E') |-> S^T (A + E, B + E') S around the base, which factors
+the off-pattern Gram matrix at the base once and never forms the tangent
+matrix.  :func:`_chart` keeps the last one built.
 """
 
 from __future__ import annotations
@@ -101,12 +106,6 @@ def _star_coord_indices(pattern: StarPattern) -> list[int]:
     return sorted(which * m + start[i] + j for which, i, j in pattern.independent_stars())
 
 
-def _off_rows(pattern: StarPattern) -> list[int]:
-    """Coordinate indices of the non-star positions, ascending."""
-    star = set(_star_coord_indices(pattern))
-    return [k for k in range(pattern.n * (pattern.n - 1)) if k not in star]
-
-
 def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
     """Nonzero tangent columns over scaled Gaussian integers, as sparse coord dicts.
 
@@ -133,18 +132,6 @@ def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
     return [col for col in cols if col]
 
 
-def _off_pattern_solve(tm: TangentMap, pattern: StarPattern, C: SkewPair) -> np.ndarray:
-    """Minimum-norm S with C + S^T P + P S zero off the stars, P the pair of ``tm``."""
-    off = _off_rows(pattern)
-    T_off = tm.matrix[off, :]
-    c_off = pair_coords(C)[off]
-    s, *_ = np.linalg.lstsq(T_off, -c_off, rcond=None)
-    residual = np.linalg.norm(T_off @ s + c_off)
-    if residual > 1e-7 * max(1.0, np.linalg.norm(c_off)):
-        raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
-    return s.reshape(tm.n, tm.n)
-
-
 #: relative Gram residual at which a correction solve stops
 SOLVE_RTOL = 1e-15
 #: cap on preconditioned conjugate-gradient sweeps per correction solve
@@ -168,28 +155,34 @@ def _components(pair: SkewPair) -> np.ndarray:
 
 
 class OffPatternSolver:
-    """Minimum-norm Newton corrections off a star pattern, without the dense tangent.
+    """The base chart of a (pair, pattern): minimum-norm moves off the stars.
 
-    Built once from the base pair and its pattern.  :meth:`solve` at a
-    nearby pair P finds the minimum-norm X with C + X^T P + P X zero off the
-    stars: X = T^H y with (T T^H) y = -c, T the off-pattern rows of the
-    tangent map at P and c those of C.  T is applied matrix-free,
-    T(X) = upper off coordinates of (X^T A + A X, X^T B + B X), and
-    T^H(Y) = sum over M of conj(M) (Y^T - Y), each O(n^3).  The Gram system
-    is solved by conjugate gradients preconditioned with T T^H at the base.
+    Let T be the off-pattern rows of the tangent map at a pair P and c the
+    off coordinates of a pair C.  The minimum-norm X with C + X^T P + P X
+    zero off the stars is X = T^H y with (T T^H) y = -c.  T is applied
+    matrix-free, T(X) = upper off coordinates of (X^T A + A X, X^T B + B X),
+    and T^H(Y) = sum over M of conj(M) (Y^T - Y), each O(n^3).
 
-    At the base that preconditioner is block diagonal: the pieces are the
-    unordered pairs {a, b} of connected components of the base's nonzero
-    graph, and the off coordinates of output block (a, b) depend only on
-    X_ab and X_ba.  Each piece's Gram matrix is inverted once through its
-    singular value decomposition; equal Gram matrices (repeated blocks)
-    share one factorisation.
+    At the base the Gram matrix G = T T^H is block diagonal: the pieces are
+    the unordered pairs {a, b} of connected components of the base's
+    nonzero graph, and the off coordinates of output block (a, b) depend
+    only on X_ab and X_ba.  Each piece's Gram matrix is inverted once
+    through its singular value decomposition; equal Gram matrices (repeated
+    blocks) share one factorisation.  A singular piece means that the
+    tangent space and the star directions do not span the skew pairs, so
+    some C has no pattern-form representative; it raises
+    :class:`DirectSumError`.  From G^-1, :meth:`project` and
+    :meth:`schedule_c` work at the base without iterating, and
+    :meth:`solve` at a nearby pair P runs conjugate gradients on the Gram
+    system at P, preconditioned with G^-1.
     """
 
     def __init__(self, base: SkewPair, pattern: StarPattern):
         if pattern.n != base.n:
             raise ValueError("pattern dimension does not match pair")
         n = self.n = base.n
+        self._AB = np.vstack([base.A, base.B])
+        self._AB_bar = np.hstack([base.A.conj(), base.B.conj()])
         # off coordinate (w, i, j), i < j, of matrix w (0 = A, 1 = B) sits at row
         # w*n + i of a stacked 2n x n array; up/down are the flat indices of (i, j)/(j, i)
         w, i, j = np.nonzero(~np.stack([pattern.mask_a, pattern.mask_b])
@@ -247,6 +240,40 @@ class OffPatternSolver:
         Z[self._up] = -y
         return AB_bar @ Z.reshape(2 * self.n, self.n)
 
+    def _off(self, C: SkewPair) -> np.ndarray:
+        """Off coordinates c of a pair C."""
+        return np.concatenate([C.A.ravel(), C.B.ravel()])[self._up]
+
+    def _residual(self, AB: np.ndarray, X: np.ndarray, c: np.ndarray) -> float:
+        """||T X + c|| / max(1, ||c||); above 1e-7 :class:`DirectSumError` is raised."""
+        residual = np.linalg.norm(self._apply(AB, X) + c)
+        scale = max(1.0, np.linalg.norm(c))
+        if not residual <= 1e-7 * scale:  # NaN fails too
+            raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
+        return float(residual / scale)
+
+    def project(self, C: SkewPair) -> np.ndarray:
+        """The minimum-norm X with C + X^T base + base X zero off the stars.
+
+        X = T^H G^-1 (-c): G^-1 is exact at the base, so one preconditioner
+        application and one adjoint replace the iteration.  The residual is
+        checked as in :meth:`solve`.
+        """
+        c = self._off(C)
+        X = self._adjoint(self._AB_bar, self._precondition(-c))
+        self._residual(self._AB, X, c)
+        return X
+
+    def schedule_c(self) -> float:
+        """2 sum_r ||T^H G^-1 e_r|| over the off rows r, at the base.
+
+        ||T^H G^-1 e_r||^2 = e_r^T G^-1 G G^-1 e_r = (G^-1)_rr, so each term is
+        the square root of a diagonal entry of a piece's inverse; equal
+        pieces count once per occurrence.
+        """
+        return 2.0 * float(sum(rows.shape[0] * np.sqrt(G_inv_t.diagonal().real).sum()
+                               for G_inv_t, rows in self._pieces))
+
     def solve(self, P: SkewPair, C: SkewPair) -> tuple[np.ndarray, float, int]:
         """(X, solve residual, sweeps): the minimum-norm X with C + X^T P + P X zero off the stars.
 
@@ -255,7 +282,7 @@ class OffPatternSolver:
         """
         AB = np.vstack([P.A, P.B])
         AB_bar = np.hstack([P.A.conj(), P.B.conj()])
-        c = np.vstack([C.A, C.B]).ravel()[self._up]
+        c = self._off(C)
         X = np.zeros((self.n, self.n), dtype=complex)
         r = -c
         stop = SOLVE_RTOL * np.linalg.norm(r)
@@ -278,11 +305,30 @@ class OffPatternSolver:
                 z = self._precondition(r)
                 rz, rz_old = np.vdot(r, z).real, rz
                 p = z + (rz / rz_old) * p
-        residual = np.linalg.norm(self._apply(AB, X) + c)
-        scale = max(1.0, np.linalg.norm(c))
-        if not residual <= 1e-7 * scale:  # NaN fails too
-            raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
-        return X, float(residual / scale), sweeps
+        return X, self._residual(AB, X, c), sweeps
+
+
+#: the last chart built, with the content key of its inputs; see :func:`_chart`
+_last_chart: tuple[tuple, OffPatternSolver] | None = None
+
+
+def _chart(pair: SkewPair, pattern: StarPattern) -> OffPatternSolver:
+    """The base chart of (pair, pattern), rebuilt only when their content changes.
+
+    One memo slot, keyed on the bytes, dtype and shape of A, B and both
+    masks: the projections, corrections and schedule of one base share one
+    factorisation, including across pair and pattern objects rebuilt with
+    equal content, and a new base replaces the slot.
+    """
+    global _last_chart
+    key = tuple([(M.tobytes(), M.dtype.str, M.shape)
+                 for M in (pair.A, pair.B, pattern.mask_a, pattern.mask_b)])
+    # read the slot once, so that a thread replacing it meanwhile cannot hand
+    # this caller the chart of another base
+    last = _last_chart
+    if last is None or last[0] != key:
+        last = _last_chart = (key, OffPatternSolver(pair, pattern))
+    return last[1]
 
 
 @dataclass(frozen=True)
@@ -408,20 +454,24 @@ def project_to_pattern(
     """Unique pattern-form representative of the coset C + T(pair0).
 
     Returns (D, S) with D = C + S^T pair0 + pair0 S supported on the stars;
-    D is unique when the direct sum holds, S is the minimum-norm witness.
-    Raises :class:`DirectSumError` when no pattern-form representative can
-    be reached (the least-squares system is inconsistent).
+    D is unique when the direct sum holds, S is the minimum-norm witness,
+    computed by the base chart of (pair0, pattern).  ``tangent`` is
+    accepted and ignored.  Raises :class:`DirectSumError`, carrying the
+    float :class:`DecompositionReport` as ``report``, when the tangent
+    space and the stars do not span the skew pairs or no pattern-form
+    representative is reached.
     """
     n = pair0.n
     if C.n != n or pattern.n != n:
         raise ValueError("dimension mismatch")
-    tm = tangent if tangent is not None else tangent_map(pair0)
     try:
-        S = _off_pattern_solve(tm, pattern, C)
+        chart = _chart(pair0, pattern)
+        S = chart.project(C)
     except DirectSumError as exc:
         exc.report = verify_direct_sum(pair0, pattern, backend="float")
         raise
-    dA = C.A + S.T @ pair0.A + pair0.A @ S
-    dB = C.B + S.T @ pair0.B + pair0.B @ S
-    D = SkewPair(0.5 * (dA - dA.T), 0.5 * (dB - dB.T))
+    # S^T M + M S = M S - (M S)^T for skew M; the chart holds [A; B] of pair0
+    MS = chart._AB @ S
+    dA, dB = MS[:n] - MS[:n].T, MS[n:] - MS[n:].T
+    D = SkewPair(0.5 * (C.A - C.A.T) + dA, 0.5 * (C.B - C.B.T) + dB)
     return D, S

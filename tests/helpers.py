@@ -1,13 +1,17 @@
 """Shared test oracles, kept independent of the library's internals.
 
 The tangent matrix here is built by brute force (explicit elementary
-matrices and full products), ranks come straight from numpy's SVD, and the
-structure counter is a plain partition-style DP, and the Newton correction
-is a dense least-squares solve on that matrix; none of them share code with
-the package paths they check.  The one exception is the pairwise loop,
-which is ``verify_pairwise`` without its reuse of equal substructures and
-so the reference for that reuse alone.
+matrices and full products), ranks come straight from numpy's SVD or from
+plain Gaussian elimination over the rationals, and the structure counter
+is a plain partition-style DP.  The minimum-norm projection and Newton
+correction are dense least-squares solves on the brute-force tangent
+matrix, and the schedule constant is read off its dense pseudo-inverse;
+none of them share code with the package paths they check.  The one
+exception is the pairwise loop, which is ``verify_pairwise`` without its
+reuse of equal substructures and so the reference for that reuse alone.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,33 +26,57 @@ from skewpencil import (
 
 
 def brute_tangent_matrix(pair: SkewPair) -> np.ndarray:
-    """Matrix of C -> (C^T A + A C, C^T B + B C), columns E_ij, brute force."""
+    """Matrix of C -> (C^T A + A C, C^T B + B C), columns E_ij, brute force.
+
+    Every elementary matrix E_ij (row i*n + j of ``E``) goes through full
+    matrix products, all of them in one batched product.
+    """
     n = pair.n
-    iu = np.triu_indices(n, 1)
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            dA = E.T @ pair.A + pair.A @ E
-            dB = E.T @ pair.B + pair.B @ E
-            cols.append(np.concatenate([dA[iu], dB[iu]]))
-    return np.array(cols).T
+    iu, ju = np.triu_indices(n, 1)
+    E = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+    Et = E.transpose(0, 2, 1)
+    dA = Et @ pair.A + pair.A @ E
+    dB = Et @ pair.B + pair.B @ E
+    return np.concatenate([dA[:, iu, ju], dB[:, iu, ju]], axis=1).T
 
 
-def dense_min_norm_correction(base: SkewPair, current: SkewPair, pattern) -> np.ndarray:
-    """Minimum-norm X zeroing (current - base) + X^T current + current X off the stars.
+def _off_rows(pattern) -> np.ndarray:
+    """Boolean mask of the non-star strictly-upper coordinates, A part first."""
+    iu = np.triu_indices(pattern.n, 1)
+    return np.concatenate([~pattern.mask_a[iu], ~pattern.mask_b[iu]])
 
-    Dense lstsq on the brute-force tangent matrix of ``current``, restricted
+
+def dense_min_norm_projection(base: SkewPair, pattern, C: SkewPair) -> np.ndarray:
+    """Minimum-norm X zeroing C + X^T base + base X off the stars.
+
+    Dense lstsq on the brute-force tangent matrix of ``base``, restricted
     to the strictly-upper positions that neither star mask marks.
     """
     n = base.n
     iu = np.triu_indices(n, 1)
-    off = np.concatenate([~pattern.mask_a[iu], ~pattern.mask_b[iu]])
-    delta = current - base
-    c = np.concatenate([delta.A[iu], delta.B[iu]])[off]
-    s, *_ = np.linalg.lstsq(brute_tangent_matrix(current)[off], -c, rcond=None)
+    off = _off_rows(pattern)
+    c = np.concatenate([C.A[iu], C.B[iu]])[off]
+    s, *_ = np.linalg.lstsq(brute_tangent_matrix(base)[off], -c, rcond=None)
     return s.reshape(n, n)
+
+
+def dense_min_norm_correction(base: SkewPair, current: SkewPair, pattern) -> np.ndarray:
+    """Minimum-norm X zeroing (current - base) + X^T current + current X off the stars."""
+    return dense_min_norm_projection(current, pattern, current - base)
+
+
+def dense_pinv_schedule_m(base: SkewPair, pattern) -> int:
+    """Schedule constant m from the dense pseudo-inverse of the off-pattern tangent rows.
+
+    c = 2 * (sum of the column norms of pinv(T_off)); m is the smallest
+    integer >= 3 strictly above c, c(a+1)(2+c), c(b+1)(2+c), c^2(a+1) and
+    c^2(b+1), with a and b the Frobenius norms of the base matrices.
+    """
+    T_off = brute_tangent_matrix(base)[_off_rows(pattern)]
+    c = 2.0 * float(np.linalg.norm(np.linalg.pinv(T_off), axis=0).sum()) if T_off.size else 0.0
+    a, b = float(np.linalg.norm(base.A)), float(np.linalg.norm(base.B))
+    bounds = [c, c * (a + 1) * (2 + c), c * (b + 1) * (2 + c), c * c * (a + 1), c * c * (b + 1)]
+    return max(3, int(np.floor(max(bounds))) + 1)
 
 
 def svd_rank(M: np.ndarray, rtol: float = 1e-9) -> int:
@@ -58,6 +86,35 @@ def svd_rank(M: np.ndarray, rtol: float = 1e-9) -> int:
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > rtol * s[0]))
+
+
+def dense_fraction_rank(M: list[list[Fraction]]) -> int:
+    """Plain Gaussian elimination over the rationals (cross-check oracle)."""
+    M = [list(row) for row in M]
+    if not M:
+        return 0
+    nrows, ncols = len(M), len(M[0])
+    rank, prow = 0, 0
+    for c in range(ncols):
+        piv = None
+        for r in range(prow, nrows):
+            if M[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[prow], M[piv] = M[piv], M[prow]
+        pv = M[prow][c]
+        for r in range(prow + 1, nrows):
+            if M[r][c] != 0:
+                f = M[r][c] / pv
+                for k in range(c, ncols):
+                    M[r][k] -= f * M[prow][k]
+        rank += 1
+        prow += 1
+        if prow == nrows:
+            break
+    return rank
 
 
 def brute_direct_sum_check(pair, stars_a, stars_b):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_congruence_singular_warns():
     pair = make_block(CanonicalBlock("H", 1, 0.0))
     with pytest.warns(UserWarning):
         congruence(pair, np.zeros((2, 2)))
+    # cond(S) = 1e13 is finite but above 1e12; ||S - I||_F is about 1, so it is computed
+    with pytest.warns(UserWarning, match="ill-conditioned"):
+        congruence(pair, np.diag([1.0, 1e-13]))
+
+
+def test_congruence_near_identity_skips_condition_number(monkeypatch):
+    # ||S - I||_F <= 1/2 bounds cond(S) by 3, so no SVD is taken and nothing warns
+    pair = make_block(CanonicalBlock("H", 1, 0.0))
+
+    def no_cond(S):
+        raise AssertionError("np.linalg.cond called")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    S = np.eye(2) + np.array([[0.2, 0.2j], [-0.2, 0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved = congruence(pair, S)
+    assert np.allclose(moved.A, S.T @ pair.A @ S)
+    with pytest.raises(AssertionError, match="np.linalg.cond called"):
+        congruence(pair, 2 * np.eye(2))
 
 
 def test_skew_pair_rejects_non_skew():

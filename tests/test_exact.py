@@ -6,14 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skewpencil import CanonicalBlock, SkewPair, make_block
-from skewpencil.exact import (
-    dense_fraction_rank,
-    gaussian_columns_rank,
-    pair_to_gaussian_ints,
-    sparse_int_rank,
-)
+from skewpencil.exact import gaussian_columns_rank, pair_to_gaussian_ints, sparse_int_rank
 
-from helpers import svd_rank
+from helpers import dense_fraction_rank, svd_rank
 
 
 def rows_from_dense(M):

@@ -24,7 +24,7 @@ from skewpencil import (
 )
 from skewpencil.tangent import OffPatternSolver, _components
 
-from helpers import dense_min_norm_correction, random_skew_pair
+from helpers import dense_min_norm_correction, dense_pinv_schedule_m, random_skew_pair
 
 
 def setup(blocks):
@@ -278,6 +278,26 @@ def test_schedule_L3_finite():
 def test_schedule_floor(blocks):
     _, base, pat = setup(blocks)
     assert schedule_for(base, pat).m >= 3
+
+
+def test_schedule_equals_dense_pinv_reference():
+    # c from the diagonal of the base chart's inverse Gram factors equals c from
+    # the column norms of the dense pseudo-inverse, so m is the same everywhere
+    for st in enumerate_structures(10):
+        base, pat = make_structure_pair(st), assemble(st)
+        assert schedule_for(base, pat).m == dense_pinv_schedule_m(base, pat), st
+
+
+def test_schedule_raises_without_direct_sum():
+    # H_1(0) has codimension 1: with no stars the off-pattern Gram matrix is singular,
+    # and both the schedule and the projection refuse instead of reading off a pinv
+    _, base, _ = setup((CanonicalBlock("H", 1, 0.0),))
+    empty = StarPattern(2, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
+    with pytest.raises(DirectSumError, match=r"piece \(0, 0\)"):
+        schedule_for(base, empty)
+    with pytest.raises(DirectSumError, match=r"piece \(0, 0\)") as err:
+        project_to_pattern(base, empty, random_skew_pair(np.random.default_rng(45), 2, scale=1.0))
+    assert err.value.report is not None and not err.value.report.direct_sum_ok
 
 
 def test_schedule_requires_m_at_least_3():

@@ -24,9 +24,15 @@ from skewpencil import (
 )
 
 from skewpencil import tangent as tangent_module
-from skewpencil.tangent import _exact_tangent_columns
+from skewpencil.tangent import OffPatternSolver, _chart, _exact_tangent_columns
 
-from helpers import brute_tangent_matrix, pairwise_reports_unmemoised, random_skew_pair, svd_rank
+from helpers import (
+    brute_tangent_matrix,
+    dense_min_norm_projection,
+    pairwise_reports_unmemoised,
+    random_skew_pair,
+    svd_rank,
+)
 
 
 def empty_pattern(n):
@@ -367,3 +373,46 @@ def test_tangent_rank_invariant_under_random_congruence(st, seed, singular_value
     S = unitary() @ np.diag(singular_values[:n]) @ unitary()
     moved = congruence(make_structure_pair(st), S)
     assert float_rank(tangent_map(moved).matrix) == n * (n - 1) - assemble(st).params
+
+
+@PROPERTY
+@given(hs.sampled_from(CORPUS_6), hs.booleans(), hs.integers(0, 2 ** 32 - 1))
+def test_projection_equals_dense_min_norm_witness(st, moved, seed):
+    # the base chart's X = T^H G^-1 (-c) is the dense minimum-norm lstsq solution, at the
+    # canonical base and at a congruence-moved base, whose nonzero graph is one piece
+    rng = np.random.default_rng(seed)
+    n = st.dim
+    base, pat = make_structure_pair(st), assemble(st)
+    if moved:
+        base = congruence(base, np.eye(n) + 0.2 * (rng.standard_normal((n, n))
+                                                   + 1j * rng.standard_normal((n, n))))
+    C = random_skew_pair(rng, n, scale=1.0 if n > 1 else None)
+    D, S = project_to_pattern(base, pat, C)
+    S_ref = dense_min_norm_projection(base, pat, C)
+    assert np.linalg.norm(S - S_ref) <= 1e-12 * max(1.0, np.linalg.norm(S_ref))
+    assert np.linalg.norm(D.A[~pat.mask_a]) + np.linalg.norm(D.B[~pat.mask_b]) <= 1e-12
+
+
+def test_chart_memo_follows_content():
+    rng = np.random.default_rng(51)
+    st1 = CanonicalStructure((CanonicalBlock("H", 2, 0.0), CanonicalBlock("L", 1)))
+    st2 = CanonicalStructure((CanonicalBlock("K", 2), CanonicalBlock("H", 1, 1.0), CanonicalBlock("L", 0)))
+    b1, p1 = make_structure_pair(st1), assemble(st1)
+    b2, p2 = make_structure_pair(st2), assemble(st2)
+    # a second pattern on b1: one more star pair, so fewer off rows
+    i, j = next((i, j) for i, j in zip(*np.nonzero(~p1.mask_a)) if i < j)
+    extra = p1.mask_a.copy()
+    extra[i, j] = extra[j, i] = True
+    p1x = StarPattern(p1.n, extra, p1.mask_b.copy())
+    cases = [(b1, p1), (b2, p2), (b1, p1x)]
+    inputs = [random_skew_pair(rng, b.n, scale=1.0) for b, _ in cases]
+    fresh = [OffPatternSolver(b, p).project(C) for (b, p), C in zip(cases, inputs)]
+    for _ in range(2):  # alternating bases and patterns rebuilds the one slot each time
+        for (b, p), C, X in zip(cases, inputs, fresh):
+            assert np.array_equal(project_to_pattern(b, p, C)[1], X)
+    chart = _chart(b1, p1)
+    # equal content in new objects reuses the chart
+    again = _chart(SkewPair(b1.A.copy(), b1.B.copy()), StarPattern(p1.n, p1.mask_a.copy(), p1.mask_b.copy()))
+    assert again is chart
+    assert _chart(b1, p1x) is not chart
+    assert _chart(b1, p1) is not chart  # one slot: p1x replaced it
