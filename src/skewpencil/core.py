@@ -232,11 +232,6 @@ def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:
     return SkewPair(A, B)
 
 
-def frobenius(M: np.ndarray) -> float:
-    """Frobenius norm over all entries."""
-    return float(np.linalg.norm(M))
-
-
 def frobenius_off_pattern(M: np.ndarray, mask: np.ndarray) -> float:
     """Frobenius norm restricted to entries outside the star mask."""
     M = np.asarray(M)

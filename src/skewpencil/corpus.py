@@ -13,11 +13,11 @@ from .core import CanonicalBlock, CanonicalStructure
 PALETTE: tuple[complex, ...] = (0j, 1 + 0j, -1 + 0j, 1j)
 
 
-def block_menu(max_dim: int, palette: tuple[complex, ...] = PALETTE) -> list[CanonicalBlock]:
+def block_menu(max_dim: int) -> list[CanonicalBlock]:
     """All blocks of dimension <= max_dim, in canonical order."""
     menu = []
     for n in range(1, max_dim // 2 + 1):
-        for lam in palette:
+        for lam in PALETTE:
             menu.append(CanonicalBlock("H", n, lam))
         menu.append(CanonicalBlock("K", n))
     for n in range((max_dim - 1) // 2 + 1):
@@ -26,10 +26,7 @@ def block_menu(max_dim: int, palette: tuple[complex, ...] = PALETTE) -> list[Can
     return menu
 
 
-def enumerate_structures(
-    max_dim: int,
-    palette: tuple[complex, ...] = PALETTE,
-) -> list[CanonicalStructure]:
+def enumerate_structures(max_dim: int) -> list[CanonicalStructure]:
     """Every nonempty structure of total dimension <= max_dim, sorted.
 
     Structures are multisets of menu blocks; each is produced once as a
@@ -38,7 +35,7 @@ def enumerate_structures(
     """
     if max_dim < 1:
         return []
-    menu = block_menu(max_dim, palette)
+    menu = block_menu(max_dim)
     results: list[CanonicalStructure] = []
     acc: list[CanonicalBlock] = []
 

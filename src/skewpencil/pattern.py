@@ -24,13 +24,10 @@ from .core import CanonicalBlock, CanonicalStructure
 LAMBDA_TOL = 1e-10
 
 SHAPE_TAGS = (
-    "zeros",
     "corner_nw",
     "corner_ne",
     "corner_se",
     "corner_sw",
-    "edge_left",
-    "edge_right",
     "bottom_right_star",
     "right_half_cap",
     "q",
@@ -58,9 +55,7 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
         if tag not in SHAPE_TAGS:
             raise ValueError(f"unknown shape tag {tag!r}")
         return mask
-    if tag == "zeros":
-        pass
-    elif tag == "corner_nw":
+    if tag == "corner_nw":
         if rows <= cols:
             mask[:, 0] = True
         else:
@@ -80,10 +75,6 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
             mask[rows - 1, :] = True
         else:
             mask[:, 0] = True
-    elif tag == "edge_left":
-        mask[:, 0] = True
-    elif tag == "edge_right":
-        mask[:, cols - 1] = True
     elif tag == "bottom_right_star":
         mask[rows - 1, cols - 1] = True
     elif tag == "right_half_cap":
@@ -181,23 +172,19 @@ class StarPattern:
     mask_b: np.ndarray
 
     def __post_init__(self):
-        for mask in (self.mask_a, self.mask_b):
+        # read-only bool copies: the caller's arrays stay theirs and writable
+        for name in ("mask_a", "mask_b"):
+            mask = np.array(getattr(self, name), dtype=bool)
             if mask.shape != (self.n, self.n):
                 raise ValueError("mask shape must be n x n")
             mask.setflags(write=False)
+            object.__setattr__(self, name, mask)
 
     @property
     def params(self) -> int:
         """Number of independent parameters: half the total star count."""
         total = int(self.mask_a.sum()) + int(self.mask_b.sum())
         return total // 2
-
-    def stars_a(self) -> list[tuple[int, int]]:
-        """All starred positions of the A mask (0-based, both halves)."""
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.mask_a))]
-
-    def stars_b(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.mask_b))]
 
     def independent_stars(self) -> list[tuple[int, int, int]]:
         """Strictly-upper star positions as (matrix, i, j), matrix 0 = A."""

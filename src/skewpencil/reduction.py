@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SkewPair, congruence, frobenius_off_pattern
+from .core import SkewPair, congruence, frobenius_off_pattern, matrix_to_json, pair_to_json
 from .pattern import StarPattern
 from .tangent import _chart
 
@@ -63,35 +63,16 @@ class IterationSchedule:
             e = 2 * e + 1
         return e
 
-    def epsilons(self, count: int) -> list[float]:
-        """First ``count`` eps values in floating point (underflow to 0)."""
-        out, e = [], Fraction(1, self.m ** 4)
-        for _ in range(count):
-            out.append(float(e))
-            e = self.m * e * e
-            if e.denominator.bit_length() > 4096:
-                # exact denominators square each step; beyond float range
-                # keep only the (zero) float image
-                e = Fraction(0)
-        return out
-
-    def deltas(self, count: int) -> list[float]:
-        out, d = [], self.m ** -4
-        for eps in self.epsilons(count):
-            out.append(d)
-            d = d + self.m * eps
-        return out
-
-    def verify_exact(self, count: int = 50, cap: int = 200) -> bool:
+    def verify_exact(self, count: int = 50) -> bool:
         """Exact rational check of the schedule bounds for the first terms.
 
         eps_i is an exact power of m, so the eps bound is an integer
         exponent comparison.  delta_count and sum(eps) are sums of exact
-        powers; terms smaller than m**-cap are replaced by the rigorous
-        per-term upper bound m**-(cap+1), keeping all comparisons exact
-        while denominators stay of size m**cap.
+        powers; terms smaller than m**-cap, cap = 200, are replaced by the
+        rigorous per-term upper bound m**-(cap+1), keeping all comparisons
+        exact while denominators stay of size m**cap.
         """
-        m = self.m
+        m, cap = self.m, 200
         exps = [self.epsilon_exponent(i) for i in range(1, count + 1)]
         if any(e > -2 * i for i, e in enumerate(exps, start=1)):
             return False
@@ -156,8 +137,6 @@ class ReductionTrace:
         return [self.initial_off_norm] + [it.off_pattern_norm for it in self.iterations]
 
     def to_json(self) -> dict:
-        from .core import matrix_to_json, pair_to_json
-
         return {
             "converged": self.converged,
             "tol": self.tol,
@@ -175,10 +154,7 @@ class ReductionTrace:
             ],
             "S": matrix_to_json(self.S),
             "D": pair_to_json(self.D),
-            "pattern_supported": bool(
-                (not self.iterations and self.initial_off_norm <= self.tol)
-                or (self.iterations and self.iterations[-1].off_pattern_norm <= self.tol)
-            ),
+            "pattern_supported": self.converged,
         }
 
 

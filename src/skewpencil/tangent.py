@@ -42,24 +42,6 @@ def _upper_row_starts(n: int) -> list[int]:
     return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
 
 
-def pair_coords(pair: SkewPair) -> np.ndarray:
-    """Stacked strict-upper coordinates of a skew pair, A part first."""
-    n = pair.n
-    iu, ju = np.triu_indices(n, 1)
-    return np.concatenate([pair.A[iu, ju], pair.B[iu, ju]])
-
-
-def pair_from_coords(n: int, coords: np.ndarray) -> SkewPair:
-    """Inverse of :func:`pair_coords`."""
-    m = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, 1)
-    A = np.zeros((n, n), dtype=complex)
-    B = np.zeros((n, n), dtype=complex)
-    A[iu, ju] = coords[:m]
-    B[iu, ju] = coords[m:]
-    return SkewPair(A - A.T, B - B.T)
-
-
 @dataclass(frozen=True)
 class TangentMap:
     """Matrix of C |-> (C^T A + A C, C^T B + B C) in stacked upper coordinates.
@@ -69,7 +51,6 @@ class TangentMap:
     is n(n-1) by n^2 and its column span is T(A, B).
     """
 
-    n: int
     matrix: np.ndarray
 
 
@@ -86,16 +67,14 @@ def tangent_map(pair: SkewPair) -> TangentMap:
         # + 0.0 turns -0.0 into +0.0, so T and the solves built on it hold no negative zeros
         T[off + rows, col_ia] = M[:, ju].T + 0.0
         T[off + rows, col_ib] = M[iu, :] + 0.0
-    return TangentMap(n, T)
+    return TangentMap(T)
 
 
-def float_rank(M: np.ndarray, rtol: float = FLOAT_RANK_RTOL) -> int:
+def float_rank(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
 
 def _star_coord_indices(pattern: StarPattern) -> list[int]:

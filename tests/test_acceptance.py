@@ -137,12 +137,11 @@ def test_criterion_4_projection_uniqueness(corpus):
             continue
         n = st.dim
         rng = np.random.default_rng(2000 + idx)
-        tm = tangent_map(pair)
         projected = []
         for _ in range(100):
             C = random_skew_pair(rng, n, scale=1.0 if n > 1 else None)
-            D, _ = project_to_pattern(pair, pat, C, tangent=tm)
-            D2, _ = project_to_pattern(pair, pat, D, tangent=tm)
+            D, _ = project_to_pattern(pair, pat, C)
+            D2, _ = project_to_pattern(pair, pat, D)
             checked += 1
             if (D2 - D).norm() > tol:
                 failures += 1
@@ -150,7 +149,7 @@ def test_criterion_4_projection_uniqueness(corpus):
         for (C1, D1), (C2, D2) in zip(projected[0::2], projected[1::2]):
             a, b = 0.6 - 0.8j, -0.5 + 0.3j
             combo = SkewPair(a * C1.A + b * C2.A, a * C1.B + b * C2.B)
-            Dc, _ = project_to_pattern(pair, pat, combo, tangent=tm)
+            Dc, _ = project_to_pattern(pair, pat, combo)
             expected = SkewPair(a * D1.A + b * D2.A, a * D1.B + b * D2.B)
             checked += 1
             if (Dc - expected).norm() > tol:
@@ -162,7 +161,7 @@ def test_criterion_4_projection_uniqueness(corpus):
             nrm = tangent_el.norm()
             if nrm > 0:
                 tangent_el = SkewPair(tangent_el.A / nrm, tangent_el.B / nrm)
-            D, _ = project_to_pattern(pair, pat, tangent_el, tangent=tm)
+            D, _ = project_to_pattern(pair, pat, tangent_el)
             checked += 1
             if D.norm() > tol:
                 failures += 1

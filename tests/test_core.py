@@ -10,7 +10,6 @@ from skewpencil import (
     SkewPair,
     congruence,
     direct_sum,
-    frobenius,
     frobenius_off_pattern,
     make_F,
     make_G,
@@ -186,11 +185,6 @@ def test_skew_pair_rejects_non_skew():
         SkewPair(np.eye(2), np.zeros((2, 2)))
 
 
-def test_frobenius():
-    assert frobenius(np.zeros((3, 3))) == 0
-    assert frobenius(np.array([[0, 3], [-4, 0]], dtype=complex)) == pytest.approx(5.0)
-
-
 def test_off_pattern_norm():
     mask = np.array([[False, True], [True, False]])
     M = np.array([[0, 7], [-7, 0]], dtype=complex)
@@ -198,16 +192,6 @@ def test_off_pattern_norm():
     assert frobenius_off_pattern(M, np.zeros((2, 2), dtype=bool)) == pytest.approx(np.sqrt(98))
     with pytest.raises(ValueError):
         frobenius_off_pattern(M, np.zeros((3, 3), dtype=bool))
-
-
-def test_norm_inequalities():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        P = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        Q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a, b = rng.standard_normal(2)
-        assert frobenius(P @ Q) <= frobenius(P) * frobenius(Q) + 1e-12
-        assert frobenius(a * P + b * Q) <= abs(a) * frobenius(P) + abs(b) * frobenius(Q) + 1e-12
 
 
 def test_structure_canonical_order():

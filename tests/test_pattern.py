@@ -4,16 +4,18 @@ import pytest
 from skewpencil import (
     CanonicalBlock,
     CanonicalStructure,
+    StarPattern,
     assemble,
     codimension,
     diag_block,
     make_structure_pair,
     offdiag_block,
+    project_to_pattern,
     render_shape,
     snap_eigenvalues,
 )
 
-from helpers import brute_direct_sum_check, upper_stars
+from helpers import brute_direct_sum_check, random_skew_pair, upper_stars
 
 
 def rot90cw(positions, rows):
@@ -75,15 +77,13 @@ def test_corner_star_count(tag, rows, cols):
 
 
 def test_edges_and_cap():
-    assert mask_positions(render_shape("edge_left", 3, 2)) == {(0, 0), (1, 0), (2, 0)}
-    assert mask_positions(render_shape("edge_right", 2, 3)) == {(0, 2), (1, 2)}
     assert mask_positions(render_shape("bottom_right_star", 2, 3)) == {(1, 2)}
     cap = mask_positions(render_shape("right_half_cap", 3, 3))
     assert cap == {(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)}
 
 
 def test_render_shape_empty_dims():
-    for tag in ("corner_nw", "q", "right_half_cap", "zeros"):
+    for tag in ("corner_nw", "q", "right_half_cap"):
         assert render_shape(tag, 0, 3).shape == (0, 3)
         assert render_shape(tag, 2, 0).shape == (2, 0)
 
@@ -216,10 +216,27 @@ def test_assemble_deterministic_and_symmetric():
 def test_pattern_accessors():
     st = CanonicalStructure((CanonicalBlock("H", 1, 0.0),))
     pat = assemble(st)
-    assert pat.stars_b() == [(0, 1), (1, 0)]
     assert pat.independent_stars() == [(1, 0, 1)]
     js = pat.to_json()
     assert js["params"] == 1 and js["maskB"][0][1] == 1
+
+
+def test_pattern_copies_the_callers_masks():
+    st = CanonicalStructure((CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 1)))
+    ref = assemble(st)
+    a, b = ref.mask_a.astype(int), ref.mask_b.astype(int)
+    pat = StarPattern(st.dim, a, b)
+    assert a.flags.writeable and b.flags.writeable
+    assert not pat.mask_a.flags.writeable and pat.mask_a.dtype == bool
+    a[:] = 0  # the pattern keeps its own copy
+    assert pat.params == ref.params == 3
+    assert pat.to_json() == ref.to_json()
+    pair = make_structure_pair(st)
+    C = random_skew_pair(np.random.default_rng(5), st.dim, scale=1.0)
+    D, S = project_to_pattern(pair, pat, C)
+    D_ref, S_ref = project_to_pattern(pair, ref, C)
+    assert np.array_equal(D.A, D_ref.A) and np.array_equal(D.B, D_ref.B)
+    assert np.array_equal(S, S_ref)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])

@@ -305,19 +305,6 @@ def test_schedule_requires_m_at_least_3():
         IterationSchedule(2)
 
 
-def test_schedule_float_sequences():
-    sched = IterationSchedule(3)
-    eps = sched.epsilons(6)
-    deltas = sched.deltas(6)
-    assert eps[0] == pytest.approx(3.0 ** -4)
-    assert deltas[0] == pytest.approx(3.0 ** -4)
-    for i in range(5):
-        if eps[i] > 0:
-            assert eps[i + 1] == pytest.approx(3 * eps[i] ** 2, rel=1e-12, abs=1e-300)
-            assert deltas[i + 1] == pytest.approx(deltas[i] + 3 * eps[i])
-    assert eps[-1] < 1e-40  # doubly exponential decay: eps_6 = 3**-97
-
-
 def test_schedule_exponents():
     sched = IterationSchedule(5)
     assert [sched.epsilon_exponent(i) for i in (1, 2, 3, 4)] == [-4, -7, -13, -25]

@@ -15,8 +15,6 @@ from skewpencil import (
     global_from_pairwise,
     make_block,
     make_structure_pair,
-    pair_coords,
-    pair_from_coords,
     project_to_pattern,
     tangent_map,
     verify_direct_sum,
@@ -85,13 +83,6 @@ def test_tangent_rank_congruence_invariant():
         S = np.eye(n) + 0.25 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         moved = congruence(pair, S)
         assert svd_rank(brute_tangent_matrix(moved)) == base_rank
-
-
-def test_pair_coords_round_trip():
-    rng = np.random.default_rng(2)
-    pair = random_skew_pair(rng, 4)
-    back = pair_from_coords(4, pair_coords(pair))
-    assert np.allclose(back.A, pair.A) and np.allclose(back.B, pair.B)
 
 
 def test_verify_L3():
