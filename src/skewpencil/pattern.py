@@ -39,9 +39,9 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
     """Render one star-placement shape as a rows-by-cols boolean mask.
 
     Corner shapes put stars along the shortest full edge touching the named
-    corner (rotating the north-west shape clockwise by 90/180/270 degrees
-    gives NE/SE/SW).  On square masks the tie is fixed: NW uses column 1,
-    and the rotations move that choice to row 1 / column n / row n.
+    corner; NE/SE/SW are rendered as the north-west shape turned clockwise
+    by 90/180/270 degrees.  On square masks the tie is fixed: NW uses
+    column 1, and the rotations move that choice to row 1 / column n / row n.
 
     ``q`` with rows < cols stars row ``rows`` at columns rows..cols-1
     (cols - rows stars) and is all zero otherwise; ``q_transpose`` is its
@@ -50,31 +50,24 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
     """
     if rows < 0 or cols < 0:
         raise ValueError("mask dimensions must be >= 0")
+    if tag not in SHAPE_TAGS:
+        raise ValueError(f"unknown shape tag {tag!r}")
     mask = np.zeros((rows, cols), dtype=bool)
     if rows == 0 or cols == 0:
-        if tag not in SHAPE_TAGS:
-            raise ValueError(f"unknown shape tag {tag!r}")
         return mask
     if tag == "corner_nw":
         if rows <= cols:
             mask[:, 0] = True
         else:
             mask[0, :] = True
+    # NE/SE/SW are np.rot90(nw, -1/-2/-3), spelled as transposes and reversals,
+    # which skip np.rot90's per-call overhead
     elif tag == "corner_ne":
-        if rows < cols:
-            mask[:, cols - 1] = True
-        else:
-            mask[0, :] = True
+        mask = render_shape("corner_nw", cols, rows).T[:, ::-1].copy()
     elif tag == "corner_se":
-        if rows <= cols:
-            mask[:, cols - 1] = True
-        else:
-            mask[rows - 1, :] = True
+        mask = render_shape("corner_nw", rows, cols)[::-1, ::-1].copy()
     elif tag == "corner_sw":
-        if rows >= cols:
-            mask[rows - 1, :] = True
-        else:
-            mask[:, 0] = True
+        mask = render_shape("corner_nw", cols, rows).T[::-1].copy()
     elif tag == "bottom_right_star":
         mask[rows - 1, cols - 1] = True
     elif tag == "right_half_cap":
@@ -85,8 +78,6 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
             mask[rows - 1, rows - 1:cols - 1] = True
     elif tag == "q_transpose":
         mask = render_shape("q", cols, rows).T.copy()
-    else:
-        raise ValueError(f"unknown shape tag {tag!r}")
     return mask
 
 
@@ -165,7 +156,7 @@ def offdiag_block(
 
 @dataclass(frozen=True)
 class StarPattern:
-    """Assembled deformation masks for a whole canonical structure."""
+    """Deformation masks of a whole structure: symmetric, no diagonal stars (else ValueError)."""
 
     n: int
     mask_a: np.ndarray
@@ -177,22 +168,19 @@ class StarPattern:
             mask = np.array(getattr(self, name), dtype=bool)
             if mask.shape != (self.n, self.n):
                 raise ValueError("mask shape must be n x n")
+            # one byte per entry, so the bytes compare entries; entry (i, i) is byte i*(n+1)
+            entries = mask.tobytes()
+            if entries != mask.T.tobytes():
+                raise ValueError(f"{name} must be symmetric: each star (i, j) needs its mirror (j, i)")
+            if 1 in entries[::self.n + 1]:
+                raise ValueError(f"{name} must not star the diagonal")
             mask.setflags(write=False)
             object.__setattr__(self, name, mask)
 
     @property
     def params(self) -> int:
-        """Number of independent parameters: half the total star count."""
-        total = int(self.mask_a.sum()) + int(self.mask_b.sum())
-        return total // 2
-
-    def independent_stars(self) -> list[tuple[int, int, int]]:
-        """Strictly-upper star positions as (matrix, i, j), matrix 0 = A."""
-        out = []
-        for which, mask in ((0, self.mask_a), (1, self.mask_b)):
-            rows, cols = np.nonzero(mask)
-            out += [(which, i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < j]
-        return out
+        """Number of independent parameters: the strictly-upper stars, half the total."""
+        return (int(self.mask_a.sum()) + int(self.mask_b.sum())) // 2
 
     def to_json(self) -> dict:
         return {

@@ -6,6 +6,11 @@ the pair exactly when the space of skew pairs splits as the direct sum of
 T(A, B) and the span of the star directions.  This module builds the
 explicit tangent matrix and checks the splitting (exactly, by default).
 
+The rows of the tangent, in the order of :func:`_rows`, are the coordinates
+(w, i, j), i < j, of matrix w (0 = A, 1 = B).  Dropping the star rows loses
+exactly the part of T(A, B) on the stars, so the intersection with the star
+span is rank T - rank T_off, T_off being the off-pattern rows.
+
 Projection onto the unique pattern-form coset representative
 (:func:`project_to_pattern`), the schedule constant and the Newton
 corrections of :mod:`~skewpencil.reduction` all use one base chart per
@@ -37,18 +42,26 @@ class DirectSumError(ValueError):
         self.report = report
 
 
-def _upper_row_starts(n: int) -> list[int]:
-    """s with s[i] + j the row-major coordinate of strictly-upper position (i, j)."""
-    return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+def _rows(n: int, mask_a, mask_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, i, j) of the strictly-upper coordinates (i, j), i < j, of matrix w
+    (0 = A, 1 = B) that the masks pick, in (w, i, j) order.
+
+    This is the row order of the tangent map: ``_rows(n, True, True)``
+    numbers all n(n-1) rows, and a pattern's masks or their complements pick
+    its star or off-pattern rows.
+    """
+    r = np.arange(n)
+    upper = r[:, None] < r
+    return np.nonzero(np.array([upper & mask_a, upper & mask_b]))
 
 
 @dataclass(frozen=True)
 class TangentMap:
     """Matrix of C |-> (C^T A + A C, C^T B + B C) in stacked upper coordinates.
 
-    Column i*n + j is the image of the elementary matrix E_ij; rows run over
-    the strict upper triangles of the A part then the B part, so the matrix
-    is n(n-1) by n^2 and its column span is T(A, B).
+    Column i*n + j is the image of the elementary matrix E_ij; the rows are
+    the coordinates (w, i, j), i < j, of matrix w (0 = A, 1 = B) in (w, i, j)
+    order, so the matrix is n(n-1) by n^2 and its column span is T(A, B).
     """
 
     matrix: np.ndarray
@@ -56,58 +69,52 @@ class TangentMap:
 
 def tangent_map(pair: SkewPair) -> TangentMap:
     n = pair.n
-    iu, ju = np.triu_indices(n, 1)
-    m = iu.size
-    rows = np.arange(m)[:, None]
-    # at coordinate (a, b), a < b, the image of E_ia is M[i, b] and that of E_ib is M[a, i]
-    col_ia = np.arange(n) * n + iu[:, None]
-    col_ib = np.arange(n) * n + ju[:, None]
-    T = np.zeros((2 * m, n * n), dtype=complex)
-    for M, off in ((pair.A, 0), (pair.B, m)):
-        # + 0.0 turns -0.0 into +0.0, so T and the solves built on it hold no negative zeros
-        T[off + rows, col_ia] = M[:, ju].T + 0.0
-        T[off + rows, col_ib] = M[iu, :] + 0.0
+    w, i, j = _rows(n, True, True)
+    rows = np.arange(w.size)[:, None]
+    q = np.arange(n) * n
+    M = np.array([pair.A, pair.B])
+    T = np.zeros((w.size, n * n), dtype=complex)
+    # at row (w, i, j) the image of E_qi is M_w[q, j] and that of E_qj is M_w[i, q];
+    # + 0.0 turns -0.0 into +0.0, so T and the solves built on it hold no negative zeros
+    T[rows, q + i[:, None]] = M[w, :, j] + 0.0
+    T[rows, q + j[:, None]] = M[w, i, :] + 0.0
     return TangentMap(T)
 
 
 def float_rank(M: np.ndarray) -> int:
+    """Count of singular values above FLOAT_RANK_RTOL times the largest; ValueError if they overflow."""
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
+    if not np.isfinite(s).all():
+        raise ValueError("float rank: the singular values overflow; the entries are too large")
     return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
 
 
-def _star_coord_indices(pattern: StarPattern) -> list[int]:
-    """Coordinate index of each independent star, A block first."""
-    n = pattern.n
-    start = _upper_row_starts(n)
-    m = n * (n - 1) // 2
-    return sorted(which * m + start[i] + j for which, i, j in pattern.independent_stars())
-
-
 def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
-    """Nonzero tangent columns over scaled Gaussian integers, as sparse coord dicts.
+    """Nonzero tangent columns over scaled Gaussian integers, as sparse row dicts.
 
     Columns come in the order of their elementary matrices E_ij (index
-    i*n + j).  The image of E_ij holds M[i, q] at (j, q) and M[p, i] at
-    (p, j), so each nonzero M[r, c] is written once per column it reaches:
-    to (j, c) of E_rj for j < c, and to (r, j) of E_cj for j > r.  No two
-    entries reach the same coordinate of one column.
+    i*n + j).  Row (w, i, j) of :func:`_rows` is keyed by its flat index
+    (w*n + i)*n + j, so the keys sort as the rows do.  The image of E_ij
+    holds M[i, q] at (j, q) and M[p, i] at (p, j), so each nonzero M[r, c]
+    is written once per column it reaches: to (j, c) of E_rj for j < c, and
+    to (r, j) of E_cj for j > r.  No two entries reach the same row of one
+    column.
     """
     Are, Aim, Bre, Bim = pair_to_gaussian_ints(pair)
     n = pair.n
-    start = _upper_row_starts(n)
-    m = n * (n - 1) // 2
     cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(n * n)]
-    for M, re, im, off in ((pair.A, Are, Aim, 0), (pair.B, Bre, Bim, m)):
+    for w, (M, re, im) in enumerate(((pair.A, Are, Aim), (pair.B, Bre, Bim))):
         rows, cs = np.nonzero(M)
         for r, c in zip(rows.tolist(), cs.tolist()):
             v = (re[r, c], im[r, c])
-            for col, s in zip(cols[r * n:r * n + c], start):
-                col[off + s + c] = v
-            base = off + start[r]
+            key = w * n * n + c
+            for j, col in enumerate(cols[r * n:r * n + c]):
+                col[key + j * n] = v
+            key = (w * n + r) * n
             for j, col in enumerate(cols[c * n + r + 1:c * n + n], r + 1):
-                col[base + j] = v
+                col[key + j] = v
     return [col for col in cols if col]
 
 
@@ -162,10 +169,9 @@ class OffPatternSolver:
         n = self.n = base.n
         self._AB = np.vstack([base.A, base.B])
         self._AB_bar = np.hstack([base.A.conj(), base.B.conj()])
-        # off coordinate (w, i, j), i < j, of matrix w (0 = A, 1 = B) sits at row
-        # w*n + i of a stacked 2n x n array; up/down are the flat indices of (i, j)/(j, i)
-        w, i, j = np.nonzero(~np.stack([pattern.mask_a, pattern.mask_b])
-                             & (np.arange(n)[:, None] < np.arange(n)))
+        # off row (w, i, j) sits at row w*n + i of a stacked 2n x n array;
+        # up/down are the flat indices of (i, j)/(j, i)
+        w, i, j = _rows(n, ~pattern.mask_a, ~pattern.mask_b)
         self._up, self._down = (w * n + i) * n + j, (w * n + j) * n + i
         label = _components(base)
         piece = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
@@ -336,31 +342,30 @@ class DecompositionReport:
 def verify_direct_sum(pair: SkewPair, pattern: StarPattern, backend: str = "exact") -> DecompositionReport:
     """Check that skew-pair space = T(pair) (+) span of the star directions.
 
+    Ranks the tangent matrix T and its off-pattern rows T_off; the
+    intersection of T(pair) with the star span is rank T - rank T_off.
     ``backend="exact"`` ranks over the Gaussian rationals and is the
     decision procedure; ``"float"`` uses SVD with a relative threshold.
     """
     if pattern.n != pair.n:
         raise ValueError("pattern dimension does not match pair")
     n = pair.n
-    ambient = n * (n - 1)
-    p = pattern.params
-    star_idx = _star_coord_indices(pattern)
     if backend == "exact":
         cols = _exact_tangent_columns(pair)
         rank_t = gaussian_columns_rank(cols)
-        star_cols: list[dict[int, tuple[int, int]]] = [{k: (1, 0)} for k in star_idx]
-        rank_td = gaussian_columns_rank(cols + star_cols)
+        # the star rows, by the flat index that keys the exact columns
+        w, i, j = _rows(n, pattern.mask_a, pattern.mask_b)
+        stars = set(((w * n + i) * n + j).tolist())
+        rank_off = gaussian_columns_rank([col if stars.isdisjoint(col) else
+                                          {k: v for k, v in col.items() if k not in stars} for col in cols])
     elif backend == "float":
         T = tangent_map(pair).matrix
-        D = np.zeros((ambient, p), dtype=complex)
-        for c, k in enumerate(star_idx):
-            D[k, c] = 1.0
         rank_t = float_rank(T)
-        rank_td = float_rank(np.hstack([T, D]))
+        star = np.array([pattern.mask_a, pattern.mask_b])[_rows(n, True, True)]
+        rank_off = float_rank(T[~star])
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    intersection = rank_t + p - rank_td
-    return DecompositionReport(rank_t, p, ambient, intersection)
+    return DecompositionReport(rank_t, pattern.params, n * (n - 1), rank_t - rank_off)
 
 
 @dataclass(frozen=True)
@@ -410,8 +415,8 @@ def global_from_pairwise(n: int, pairwise: list[PairwiseReport]) -> Decompositio
     on C_ij and C_ji, and ``assemble`` renders each diagonal block and each
     block pair on its own.  So the tangent map and the star span split into
     one piece per block and one per block pair i < j, and the two-block
-    report (i, j) counts pieces i, j and (i, j).  Each of rank_T, p,
-    rank[T|D] and hence the intersection is therefore
+    report (i, j) counts pieces i, j and (i, j).  Each of rank_T, p, rank
+    T_off and hence the intersection rank_T - rank T_off is therefore
     sum_i r_ii + sum_{i<j} (R_ij - r_ii - r_jj): with k blocks, weight 1
     on the two-block reports and 2 - k on the one-block reports.
     """

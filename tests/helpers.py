@@ -5,10 +5,12 @@ matrices and full products), ranks come straight from numpy's SVD or from
 plain Gaussian elimination over the rationals, and the structure counter
 is a plain partition-style DP.  The minimum-norm projection and Newton
 correction are dense least-squares solves on the brute-force tangent
-matrix, and the schedule constant is read off its dense pseudo-inverse;
-none of them share code with the package paths they check.  The one
-exception is the pairwise loop, which is ``verify_pairwise`` without its
-reuse of equal substructures and so the reference for that reuse alone.
+matrix, the schedule constant is read off its dense pseudo-inverse, and
+the direct-sum intersection is rank_T + p - rank[T | D], with D one unit
+column per star; none of them share code with the package paths they
+check.  The one exception is the pairwise loop, which is
+``verify_pairwise`` without its reuse of equal substructures and so the
+reference for that reuse alone.
 """
 
 from fractions import Fraction
@@ -117,13 +119,12 @@ def dense_fraction_rank(M: list[list[Fraction]]) -> int:
     return rank
 
 
-def brute_direct_sum_check(pair, stars_a, stars_b):
-    """(rank_T, p, ambient, ok) for explicit upper star position sets."""
+def star_column_rank(pair, stars_a, stars_b) -> int:
+    """rank[T | D]: the brute-force tangent matrix with one unit column per upper star position."""
     n = pair.n
     ups = [(i, j) for i in range(n) for j in range(i + 1, n)]
     uidx = {c: k for k, c in enumerate(ups)}
     m = len(ups)
-    T = brute_tangent_matrix(pair)
     cols = []
     for (i, j) in sorted(stars_a):
         v = np.zeros(2 * m, dtype=complex)
@@ -134,11 +135,16 @@ def brute_direct_sum_check(pair, stars_a, stars_b):
         v[m + uidx[(i, j)]] = 1.0
         cols.append(v)
     D = np.array(cols).T if cols else np.zeros((2 * m, 0), dtype=complex)
-    rank_t = svd_rank(T)
+    return svd_rank(np.hstack([brute_tangent_matrix(pair), D]))
+
+
+def brute_direct_sum_check(pair, stars_a, stars_b):
+    """(rank_T, p, ambient, ok) for explicit upper star position sets."""
+    ambient = pair.n * (pair.n - 1)
+    rank_t = svd_rank(brute_tangent_matrix(pair))
     p = len(stars_a) + len(stars_b)
-    rank_td = svd_rank(np.hstack([T, D]))
-    ok = rank_t + p == 2 * m and rank_td == rank_t + p
-    return rank_t, p, 2 * m, ok
+    ok = rank_t + p == ambient and star_column_rank(pair, stars_a, stars_b) == rank_t + p
+    return rank_t, p, ambient, ok
 
 
 def pairwise_reports_unmemoised(structure, backend="exact"):

@@ -226,6 +226,9 @@ BAD_INPUTS = {
         "A": {"rows": 2, "cols": 2, "entries": [0, 1, -1, 0]}, "B": _GOOD_MATRIX}),
     "entry-strings": ("reduce", _h1([0, 0]), {
         "A": _GOOD_MATRIX, "B": {"rows": 2, "cols": 2, "entries": [["a", "b"]] * 4}}),
+    # masks of 2e9+1 squared entries: numpy refuses the 3.47 EiB request up front
+    "pattern-too-large": ("pattern", {"blocks": [{"kind": "L", "n": 10 ** 9}]}, None),
+    "codim-too-large": ("codim", {"blocks": [{"kind": "L", "n": 10 ** 9}]}, None),
 }
 
 
@@ -242,6 +245,25 @@ def test_bad_schema_exits_2(tmp_path, capsys):
         assert code == 2, name
         assert "skewpencil: error:" in err, name
         assert "Traceback" not in err, name
+
+
+@pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol", "-1"]])
+def test_reduce_bad_iteration_options_exit_2(tmp_path, capsys, option):
+    _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps(pair_to_json(random_skew_pair(np.random.default_rng(3), 2, 1e-3))))
+    code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)] + option)
+    assert code == 2 and out == ""
+    assert "skewpencil: error:" in err
+
+
+def test_verify_float_overflow_exits_2(tmp_path, capsys):
+    # the float tangent of H_2((1 + i) 1e308) has infinite singular values
+    _, path = write_structure(tmp_path, (CanonicalBlock("H", 2, (1 + 1j) * 1e308),))
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    code, out, err = run(capsys, ["verify", str(path), "--backend", "float"])
+    assert code == 2 and out == ""
+    assert "skewpencil: error: float rank" in err
 
 
 def test_unknown_command_exits_2(capsys):

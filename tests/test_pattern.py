@@ -216,9 +216,21 @@ def test_assemble_deterministic_and_symmetric():
 def test_pattern_accessors():
     st = CanonicalStructure((CanonicalBlock("H", 1, 0.0),))
     pat = assemble(st)
-    assert pat.independent_stars() == [(1, 0, 1)]
+    assert not pat.mask_a.any()
+    assert np.argwhere(np.triu(pat.mask_b)).tolist() == [[0, 1]]
     js = pat.to_json()
     assert js["params"] == 1 and js["maskB"][0][1] == 1
+
+
+def test_pattern_rejects_asymmetric_and_diagonal_stars():
+    # params counts the strictly-upper stars, so a star needs its mirror and no
+    # star may sit on the diagonal
+    zero = np.zeros((2, 2), dtype=bool)
+    lone = np.array([[False, True], [False, False]])
+    for mask_a, mask_b in ((zero, lone), (lone.T, zero), (zero, np.eye(2, dtype=bool))):
+        with pytest.raises(ValueError):
+            StarPattern(2, mask_a, mask_b)
+    assert StarPattern(2, zero, lone | lone.T).params == 1
 
 
 def test_pattern_copies_the_callers_masks():

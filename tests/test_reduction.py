@@ -256,6 +256,15 @@ def test_reduce_dimension_mismatch():
         reduce_pair(base, other, pat)
 
 
+def test_reduce_rejects_negative_max_iter_and_bad_tol():
+    _, base, pat = setup((CanonicalBlock("H", 1, 0.0),))
+    P = perturb(base, random_skew_pair(np.random.default_rng(36), 2, scale=1e-2))
+    for kwargs in ({"max_iter": -3}, {"tol": float("nan")}, {"tol": -1.0}):
+        with pytest.raises(ValueError):
+            reduce_pair(base, P, pat, **kwargs)
+    assert reduce_pair(base, P, pat, tol=0.0, max_iter=1).iterations
+
+
 def test_schedule_L0():
     _, base, pat = setup((CanonicalBlock("L", 0),))
     sched = schedule_for(base, pat)

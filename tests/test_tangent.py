@@ -29,7 +29,9 @@ from helpers import (
     dense_min_norm_projection,
     pairwise_reports_unmemoised,
     random_skew_pair,
+    star_column_rank,
     svd_rank,
+    upper_stars,
 )
 
 
@@ -179,16 +181,11 @@ def test_project_zero():
 def test_project_pattern_form_is_fixed():
     st = CanonicalStructure((CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 1)))
     base, pat = make_structure_pair(st), assemble(st)
-    # put values on the stars only
-    stars = pat.independent_stars()
-    assert stars
-    A = np.zeros((pat.n, pat.n), dtype=complex)
-    B = np.zeros((pat.n, pat.n), dtype=complex)
-    for k, (w, i, j) in enumerate(stars, start=1):
-        M = A if w == 0 else B
-        M[i, j] = k
-        M[j, i] = -k
-    C = SkewPair(A, B)
+    # put distinct values on the stars only
+    values = np.arange(1, pat.n * pat.n + 1).reshape(pat.n, pat.n)
+    A, B = (np.triu(mask) * values for mask in (pat.mask_a, pat.mask_b))
+    assert A.any() or B.any()
+    C = SkewPair(A - A.T, B - B.T)
     D, S = project_to_pattern(base, pat, C)
     assert (D - C).norm() < 1e-12
     assert np.linalg.norm(S) < 1e-12  # minimum-norm witness of the trivial move
@@ -323,7 +320,10 @@ def test_exact_tangent_columns_match_brute_oracle(n):
 
     pair = SkewPair(skew(), skew())
     T = brute_tangent_matrix(pair)
-    expected = [{int(k): (int(T[k, c].real), int(T[k, c].imag)) for k in np.flatnonzero(T[:, c])}
+    # brute row k is the strictly-upper (i, j) of A, then of B; the columns key it (w*n + i)*n + j
+    iu, ju = np.triu_indices(n, 1)
+    key = np.concatenate([iu * n + ju, (n + iu) * n + ju])
+    expected = [{int(key[k]): (int(T[k, c].real), int(T[k, c].imag)) for k in np.flatnonzero(T[:, c])}
                 for c in range(n * n) if T[:, c].any()]
     assert _exact_tangent_columns(pair) == expected
 
@@ -364,6 +364,50 @@ def test_tangent_rank_invariant_under_random_congruence(st, seed, singular_value
     S = unitary() @ np.diag(singular_values[:n]) @ unitary()
     moved = congruence(make_structure_pair(st), S)
     assert float_rank(tangent_map(moved).matrix) == n * (n - 1) - assemble(st).params
+
+
+@PROPERTY
+@given(hs.data())
+def test_intersection_equals_star_column_formula(data):
+    # rank T - rank T_off counts the tangent directions that lie on the stars, as does
+    # rank_T + p - rank[T | D] with one unit column per star.  Checked with another
+    # structure's pattern and on congruence-moved pairs; the first two moves often give a
+    # nonzero intersection.  Permutations and Gaussian-integer S with det 1 keep the moved
+    # pair exact, so both backends rank the same matrix.
+    st = data.draw(hs.sampled_from(CORPUS_6))
+    n = st.dim
+    pair, pat = make_structure_pair(st), assemble(st)
+    move = data.draw(hs.sampled_from(("pattern", "permutation", "integer", "float")))
+    backends = ("exact", "float")
+    if move == "pattern":
+        pat = assemble(data.draw(hs.sampled_from([s for s in CORPUS_6 if s.dim == n])))
+    else:
+        rng = np.random.default_rng(data.draw(hs.integers(0, 2 ** 32 - 1)))
+        if move == "permutation":
+            S = np.eye(n)[rng.permutation(n)]
+        elif move == "integer":
+            N = rng.integers(-1, 2, (n, n)) + 1j * rng.integers(-1, 2, (n, n))
+            S = (np.eye(n) + np.tril(N, -1)) @ (np.eye(n) + np.triu(N.T, 1))
+        else:  # the exact backend would rank the rounding of the moved pair
+            S = np.eye(n) + 0.2 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            backends = ("float",)
+        pair = congruence(pair, S)
+    reference = star_column_rank(pair, upper_stars(pat.mask_a), upper_stars(pat.mask_b))
+    for backend in backends:
+        rep = verify_direct_sum(pair, pat, backend)
+        assert rep.rank_t == svd_rank(brute_tangent_matrix(pair)), backend
+        assert rep.intersection_dim == rep.rank_t + rep.params_p - reference, backend
+
+
+def test_float_rank_raises_on_overflow():
+    # the singular values of H_2((1 + i) 1e308) overflow to inf; the exact backend decides it
+    st = CanonicalStructure((CanonicalBlock("H", 2, (1 + 1j) * 1e308),))
+    pair, pat = make_structure_pair(st), assemble(st)
+    assert verify_direct_sum(pair, pat).direct_sum_ok
+    with pytest.raises(ValueError, match="overflow"):
+        float_rank(tangent_map(pair).matrix)
+    with pytest.raises(ValueError, match="overflow"):
+        verify_direct_sum(pair, pat, backend="float")
 
 
 @PROPERTY
