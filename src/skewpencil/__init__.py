@@ -6,6 +6,7 @@ pattern form.
 """
 
 from .core import (
+    LAMBDA_TOL,
     CanonicalBlock,
     CanonicalStructure,
     SkewPair,
@@ -27,14 +28,12 @@ from .core import (
 )
 from .corpus import PALETTE, block_menu, enumerate_structures
 from .pattern import (
-    LAMBDA_TOL,
     StarPattern,
     assemble,
     codimension,
     diag_block,
     offdiag_block,
     render_shape,
-    snap_eigenvalues,
 )
 from .reduction import (
     IterationRecord,
@@ -61,6 +60,7 @@ from .tangent import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "LAMBDA_TOL",
     "CanonicalBlock",
     "CanonicalStructure",
     "SkewPair",
@@ -82,14 +82,12 @@ __all__ = [
     "PALETTE",
     "block_menu",
     "enumerate_structures",
-    "LAMBDA_TOL",
     "StarPattern",
     "assemble",
     "codimension",
     "diag_block",
     "offdiag_block",
     "render_shape",
-    "snap_eigenvalues",
     "IterationRecord",
     "IterationSchedule",
     "ReductionTrace",

@@ -21,7 +21,7 @@ from .core import (
     structure_to_json,
 )
 from .corpus import enumerate_structures
-from .pattern import LAMBDA_TOL, assemble, codimension, snap_eigenvalues
+from .pattern import assemble, codimension
 from .reduction import DEFAULT_MAX_ITER, DEFAULT_TOL, reduce_pair
 from .tangent import global_from_pairwise, verify_pairwise
 from . import core
@@ -32,30 +32,22 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_structure(path: str, lambda_tol: float):
-    """The structure in ``path``, with its H eigenvalues snapped at ``lambda_tol``.
-
-    Every command builds its pattern and its pair from this one structure.
-    """
-    return snap_eigenvalues(structure_from_json(_load_json(path)), lambda_tol)
-
-
 def cmd_pattern(args) -> int:
-    structure = _load_structure(args.structure, args.lambda_tol)
-    pat = assemble(structure, lambda_tol=args.lambda_tol)
+    structure = structure_from_json(_load_json(args.structure))
+    pat = assemble(structure)
     print(dump_json(pat.to_json()))
     return 0
 
 
 def cmd_codim(args) -> int:
-    structure = _load_structure(args.structure, args.lambda_tol)
-    print(codimension(structure, lambda_tol=args.lambda_tol))
+    structure = structure_from_json(_load_json(args.structure))
+    print(codimension(structure))
     return 0
 
 
 def cmd_verify(args) -> int:
-    structure = _load_structure(args.structure, args.lambda_tol)
-    pairwise = verify_pairwise(structure, backend=args.backend, lambda_tol=args.lambda_tol)
+    structure = structure_from_json(_load_json(args.structure))
+    pairwise = verify_pairwise(structure, backend=args.backend)
     glob = global_from_pairwise(structure.dim, pairwise)
     ok = glob.direct_sum_ok and all(e.report.direct_sum_ok for e in pairwise)
     print(dump_json({
@@ -74,14 +66,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    structure = _load_structure(args.base, args.lambda_tol)
+    structure = structure_from_json(_load_json(args.base))
     base = core.make_structure_pair(structure)
     perturbation = pair_from_json(_load_json(args.perturbation))
     if perturbation.n != base.n:
         raise ValueError(
             f"perturbation is {perturbation.n}x{perturbation.n}, base needs {base.n}x{base.n}")
     perturbed = SkewPair(base.A + perturbation.A, base.B + perturbation.B)
-    pat = assemble(structure, lambda_tol=args.lambda_tol)
+    pat = assemble(structure)
     trace = reduce_pair(base, perturbed, pat, tol=args.tol, max_iter=args.max_iter)
     print(dump_json(trace.to_json()))
     return 0 if trace.converged else 1
@@ -103,24 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lambda_tol(p):
-        p.add_argument("--lambda-tol", type=float, default=LAMBDA_TOL,
-                       help="eigenvalue coincidence tolerance (default %(default)s)")
-
     p = sub.add_parser("pattern", help="print the deformation star pattern")
     p.add_argument("structure", help="structure JSON file")
-    add_lambda_tol(p)
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("codim", help="print the orbit codimension")
     p.add_argument("structure")
-    add_lambda_tol(p)
     p.set_defaults(func=cmd_codim)
 
     p = sub.add_parser("verify", help="tangent-space direct-sum verification")
     p.add_argument("structure")
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    add_lambda_tol(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="reduce a perturbed pair to pattern form")
@@ -128,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", required=True, help="skew pair JSON file (M, R)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    add_lambda_tol(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("corpus", help="enumerate all structures up to a dimension")

@@ -21,6 +21,8 @@ import numpy as np
 
 #: relative tolerance for the skew-symmetry invariant of floating pairs
 SKEW_RTOL = 1e-12
+#: two H eigenvalues joined by a chain of steps of at most this size are one eigenvalue
+LAMBDA_TOL = 1e-10
 
 
 def make_jordan(n: int, lam: complex) -> np.ndarray:
@@ -139,6 +141,13 @@ class SkewPair:
         return float(np.sqrt(np.linalg.norm(self.A) ** 2 + np.linalg.norm(self.B) ** 2))
 
 
+def _cluster(root: list[int], a: int) -> int:
+    """The first member of eigenvalue a's cluster: follow ``root`` to its fixed point."""
+    while root[a] != a:
+        a = root[a]
+    return a
+
+
 @dataclass(frozen=True)
 class CanonicalStructure:
     """An ordered direct sum of canonical blocks.
@@ -147,13 +156,35 @@ class CanonicalStructure:
     sorted by eigenvalue (lexicographic on (re, im)) then size descending,
     then K by size descending, then L by size descending.  The order is a
     convention; summands are only determined up to permutation.
+
+    Which H eigenvalues coincide is decided here, once: the distinct ones
+    are clustered by single linkage, two sharing a cluster when a chain of
+    steps of at most ``LAMBDA_TOL`` joins them, and each cluster is set to
+    its first member in canonical order.  So the eigenvalues of a structure
+    are equal or more than ``LAMBDA_TOL`` apart, and its pattern and its
+    pair, both built from it, agree on which are equal.  A chain such as 0,
+    0.6e-10, 1.2e-10 becomes one eigenvalue.
     """
 
     blocks: tuple[CanonicalBlock, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted(self.blocks, key=lambda b: b.sort_key()))
-        object.__setattr__(self, "blocks", blocks)
+        blocks = sorted(self.blocks, key=CanonicalBlock.sort_key)
+        lams = list(dict.fromkeys([b.lam for b in blocks if b.kind == "H"]))
+        root = list(range(len(lams)))
+        merged = False
+        for a in range(1, len(lams)):
+            for b in range(a):
+                if abs(lams[a] - lams[b]) <= LAMBDA_TOL:
+                    ra, rb = _cluster(root, a), _cluster(root, b)
+                    root[max(ra, rb)] = min(ra, rb)
+                    merged = True
+        # a merge moves eigenvalues, so only then are the blocks sorted again
+        if merged:
+            snapped = {lam: lams[_cluster(root, a)] for a, lam in enumerate(lams)}
+            blocks = sorted((CanonicalBlock("H", b.n, snapped[b.lam]) if b.kind == "H" else b
+                             for b in blocks), key=CanonicalBlock.sort_key)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def dim(self) -> int:
@@ -281,6 +312,8 @@ def _json_complex(value, what: str) -> complex:
 def matrix_from_json(obj: dict) -> np.ndarray:
     obj = _json_object(obj, "matrix")
     rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must be >= 0, got rows={rows}, cols={cols}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
@@ -325,9 +358,8 @@ def structure_from_json(obj: dict) -> CanonicalStructure:
     out = []
     for s in blocks:
         s = _json_object(s, "block")
-        lam = 0j
-        if s["kind"] == "H":
-            lam = _json_complex(s.get("lambda", [0.0, 0.0]), "lambda")
+        # a "lambda" on a K or L block is passed on, and CanonicalBlock refuses a nonzero one
+        lam = _json_complex(s.get("lambda", [0.0, 0.0]), "lambda")
         out.append(CanonicalBlock(s["kind"], _json_int(s["n"], "block size n"), lam))
     return CanonicalStructure(tuple(out))
 

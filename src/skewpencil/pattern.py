@@ -20,9 +20,6 @@ import numpy as np
 
 from .core import CanonicalBlock, CanonicalStructure
 
-#: two H blocks are treated as sharing an eigenvalue below this distance
-LAMBDA_TOL = 1e-10
-
 SHAPE_TAGS = (
     "corner_nw",
     "corner_ne",
@@ -102,21 +99,14 @@ def diag_block(block: CanonicalBlock) -> tuple[np.ndarray, np.ndarray]:
     return mask_a, mask_b
 
 
-def _same_eigenvalue(bi: CanonicalBlock, bj: CanonicalBlock, lambda_tol: float) -> bool:
-    if lambda_tol == 0:
-        return bi.lam == bj.lam
-    return abs(bi.lam - bj.lam) <= lambda_tol
-
-
-def offdiag_block(
-    bi: CanonicalBlock,
-    bj: CanonicalBlock,
-    lambda_tol: float = LAMBDA_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def offdiag_block(bi: CanonicalBlock, bj: CanonicalBlock) -> tuple[np.ndarray, np.ndarray]:
     """Star masks of the (i, j) off-diagonal block, bi before bj canonically.
 
     Only the block above the diagonal is produced; the (j, i) block is its
-    forced mirror and carries no independent parameters.
+    forced mirror and carries no independent parameters.  Two H blocks
+    share their stars only when their eigenvalues are exactly equal: a
+    :class:`~skewpencil.core.CanonicalStructure` has already merged the
+    eigenvalues within ``LAMBDA_TOL`` of each other.
     """
     if bi.sort_key() > bj.sort_key():
         raise ValueError("blocks must be passed in canonical order")
@@ -127,7 +117,7 @@ def offdiag_block(
     n, m = bi.n, bj.n
 
     if kinds == ("H", "H") or kinds == ("K", "K"):
-        if kinds[0] == "H" and not _same_eigenvalue(bi, bj, lambda_tol):
+        if bi.lam != bj.lam:
             return mask_a, mask_b
         target = mask_b if kinds[0] == "H" else mask_a
         target[:n, :m] = render_shape("corner_se", n, m)
@@ -191,43 +181,13 @@ class StarPattern:
         }
 
 
-def snap_eigenvalues(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> CanonicalStructure:
-    """Give H eigenvalues that ``assemble`` would merge one common value.
-
-    The distinct H eigenvalues are clustered by single linkage: two share a
-    cluster when a chain of steps of at most ``lambda_tol`` joins them.
-    Each cluster is set to its first member in canonical order.  Eigenvalues
-    of distinct clusters then lie more than ``lambda_tol`` apart, so the
-    pattern merges exactly the equal ones and matches the pair built from
-    the same structure.  ``lambda_tol=0`` returns the structure unchanged.
-    """
-    lams: list[complex] = []
-    for b in structure.blocks:
-        if b.kind == "H" and b.lam not in lams:
-            lams.append(b.lam)
-    root = list(range(len(lams)))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            a = root[a]
-        return a
-
-    for a in range(len(lams)):
-        for b in range(a):
-            if abs(lams[a] - lams[b]) <= lambda_tol:
-                ra, rb = find(a), find(b)
-                root[max(ra, rb)] = min(ra, rb)
-    snapped = {lam: lams[find(a)] for a, lam in enumerate(lams)}
-    return CanonicalStructure(tuple(
-        b if b.kind != "H" or snapped[b.lam] == b.lam else CanonicalBlock("H", b.n, snapped[b.lam])
-        for b in structure.blocks))
-
-
-def assemble(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> StarPattern:
+def assemble(structure: CanonicalStructure) -> StarPattern:
     """Build the full deformation pattern of a canonical structure.
 
     Diagonal blocks are placed as-is; each off-diagonal block (i < j) is
-    rendered once and mirrored by transposition below the diagonal.
+    rendered once and mirrored by transposition below the diagonal.  H
+    blocks share stars exactly when the structure gives them one eigenvalue,
+    so the pattern matches ``make_structure_pair`` of the same structure.
     """
     n = structure.dim
     mask_a = np.zeros((n, n), dtype=bool)
@@ -243,7 +203,7 @@ def assemble(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> S
         for j in range(i + 1, len(blocks)):
             oi, oj = offs[i], offs[j]
             di, dj = blocks[i].dim, blocks[j].dim
-            oa, ob = offdiag_block(blocks[i], blocks[j], lambda_tol)
+            oa, ob = offdiag_block(blocks[i], blocks[j])
             mask_a[oi:oi + di, oj:oj + dj] = oa
             mask_b[oi:oi + di, oj:oj + dj] = ob
             mask_a[oj:oj + dj, oi:oi + di] = oa.T
@@ -251,6 +211,6 @@ def assemble(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> S
     return StarPattern(n, mask_a, mask_b)
 
 
-def codimension(structure: CanonicalStructure, lambda_tol: float = LAMBDA_TOL) -> int:
+def codimension(structure: CanonicalStructure) -> int:
     """Codimension of the congruence orbit: the independent star count."""
-    return assemble(structure, lambda_tol).params
+    return assemble(structure).params

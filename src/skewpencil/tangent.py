@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CanonicalStructure, SkewPair, make_structure_pair
+from .core import LAMBDA_TOL, CanonicalStructure, SkewPair, make_structure_pair
 from .exact import gaussian_columns_rank, pair_to_gaussian_ints
-from .pattern import LAMBDA_TOL, StarPattern, assemble
+from .pattern import StarPattern, assemble
 
 #: singular values below this fraction of the largest are treated as zero
 FLOAT_RANK_RTOL = 1e-9
@@ -391,7 +391,9 @@ def verify_pairwise(
     substructure passes its own direct-sum check.  Reports come for (i, i)
     in block order, then for each i < j.  A substructure is determined by
     its blocks, so each distinct one is checked once and its report is
-    reused at every (i, j) with the same blocks.
+    reused at every (i, j) with the same blocks.  ``lambda_tol`` is
+    accepted and ignored: the structure has already decided which
+    eigenvalues coincide (see :class:`~skewpencil.core.CanonicalStructure`).
     """
     blocks = structure.blocks
     k = len(blocks)
@@ -402,7 +404,7 @@ def verify_pairwise(
         key = (blocks[i],) if i == j else (blocks[i], blocks[j])
         if key not in memo:
             sub = CanonicalStructure(key)
-            memo[key] = verify_direct_sum(make_structure_pair(sub), assemble(sub, lambda_tol), backend)
+            memo[key] = verify_direct_sum(make_structure_pair(sub), assemble(sub), backend)
         out.append(PairwiseReport(i, j, memo[key]))
     return out
 

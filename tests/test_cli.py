@@ -9,7 +9,6 @@ from skewpencil import (
     enumerate_structures,
     make_structure_pair,
     pair_to_json,
-    structure_to_json,
 )
 from skewpencil import pattern as pattern_module
 from skewpencil.cli import main
@@ -18,10 +17,11 @@ from helpers import count_structures_dp, random_skew_pair
 
 
 def write_structure(tmp_path, blocks, name="structure.json"):
-    st = CanonicalStructure(blocks)
+    # the file holds the blocks as given; the CLI builds, and snaps, the structure
+    entries = [{"kind": b.kind, "n": b.n, "lambda": [b.lam.real, b.lam.imag]} for b in blocks]
     path = tmp_path / name
-    path.write_text(json.dumps(structure_to_json(st)))
-    return st, path
+    path.write_text(json.dumps({"blocks": entries}))
+    return CanonicalStructure(blocks), path
 
 
 def run(capsys, argv):
@@ -229,6 +229,10 @@ BAD_INPUTS = {
     # masks of 2e9+1 squared entries: numpy refuses the 3.47 EiB request up front
     "pattern-too-large": ("pattern", {"blocks": [{"kind": "L", "n": 10 ** 9}]}, None),
     "codim-too-large": ("codim", {"blocks": [{"kind": "L", "n": 10 ** 9}]}, None),
+    "lambda-on-K": ("codim", {"blocks": [{"kind": "K", "n": 1, "lambda": [5, 0]}, {"kind": "L", "n": 0}]}, None),
+    "lambda-on-L": ("verify", {"blocks": [{"kind": "L", "n": 1, "lambda": [0, 1]}]}, None),
+    "matrix-negative-size": ("reduce", _h1([0, 0]), {
+        "A": {"rows": -1, "cols": -1, "entries": [[0, 0]]}, "B": _GOOD_MATRIX}),
 }
 
 

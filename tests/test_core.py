@@ -253,6 +253,14 @@ def test_matrix_json_bad_entry_count():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [[0.0, 0.0]]})
 
 
+def test_json_refuses_negative_sizes_and_non_h_eigenvalues():
+    with pytest.raises(ValueError, match="rows and cols must be >= 0"):
+        matrix_from_json({"rows": -1, "cols": -1, "entries": [[0.0, 0.0]]})
+    for kind in ("K", "L"):
+        with pytest.raises(ValueError, match="only meaningful for H"):
+            structure_from_json({"blocks": [{"kind": kind, "n": 1, "lambda": [5, 0]}]})
+
+
 def test_matrix_json_keeps_signed_zeros():
     M = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [1e-300 + 3j, complex(-0.0, -2.5)]])
     out = matrix_to_json(M)

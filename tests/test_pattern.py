@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skewpencil import (
+    LAMBDA_TOL,
     CanonicalBlock,
     CanonicalStructure,
     StarPattern,
@@ -12,7 +13,6 @@ from skewpencil import (
     offdiag_block,
     project_to_pattern,
     render_shape,
-    snap_eigenvalues,
 )
 
 from helpers import brute_direct_sum_check, random_skew_pair, upper_stars
@@ -155,16 +155,18 @@ def test_offdiag_same_eigenvalue_corners():
     assert ob.sum() == 4  # one star per corner block of the 4x2 layout
 
 
-def test_offdiag_eigenvalue_tolerance_knob():
+def test_close_eigenvalues_share_stars_through_the_structure():
+    # offdiag_block compares eigenvalues exactly; the structure merges 1e-12 into 0
     b1 = CanonicalBlock("H", 1, 0.0)
     near = CanonicalBlock("H", 1, 1e-12)
-    far = CanonicalBlock("H", 1, 1e-6)
     _, ob = offdiag_block(b1, near)
-    assert ob.any()  # within default tolerance: treated as equal
-    _, ob = offdiag_block(b1, far)
     assert not ob.any()
-    _, ob = offdiag_block(b1, near, lambda_tol=0.0)
-    assert not ob.any()  # exact comparison
+    _, ob = offdiag_block(b1, CanonicalBlock("H", 1, 1e-6))
+    assert not ob.any()
+    st = CanonicalStructure((b1, near))
+    assert st.blocks == (b1, b1)
+    assert codimension(st) == codimension(CanonicalStructure((b1, b1))) == 6
+    assert codimension(CanonicalStructure((b1, CanonicalBlock("H", 1, 1e-6)))) == 2
 
 
 def test_offdiag_requires_canonical_order():
@@ -287,16 +289,23 @@ def test_snap_eigenvalues():
     def h(lam, n=1):
         return CanonicalBlock("H", n, lam)
 
-    st = CanonicalStructure((h(1.2e-10), h(0.0, 2), h(0.6e-10), h(1j), h(1j + 5e-11), h(1.0),
-                             CanonicalBlock("K", 1), CanonicalBlock("L", 0)))
-    snapped = snap_eigenvalues(st, 1e-10)
+    tail = (CanonicalBlock("K", 1), CanonicalBlock("L", 0))
+    st = CanonicalStructure((h(1.2e-10), h(0.0, 2), h(0.6e-10), h(1j), h(1j + 5e-11), h(1.0)) + tail)
     # the chain 0, 0.6e-10, 1.2e-10 is one cluster, set to its first member 0;
     # i and i + 5e-11 snap to i, which comes first in canonical order
-    assert snapped == CanonicalStructure((h(0.0, 2), h(0.0), h(0.0), h(1j), h(1j), h(1.0),
-                                          CanonicalBlock("K", 1), CanonicalBlock("L", 0)))
-    assert snap_eigenvalues(snapped, 1e-10) == snapped
-    assert snap_eigenvalues(st, 0) == st
-    assert snap_eigenvalues(st, 1e-11) == st
+    assert st.blocks == (h(0.0, 2), h(0.0), h(0.0), h(1j), h(1j), h(1.0)) + tail
+    assert CanonicalStructure(st.blocks) == st
+    # eigenvalues 1.01e-10 apart stay apart, and a K block is never given an H eigenvalue
+    apart = (h(-1.01e-10), h(0.0)) + tail
+    assert CanonicalStructure(apart).blocks == apart
+    assert CanonicalStructure((h(0.0), h(-1e-11)) + tail).blocks == (h(-1e-11), h(-1e-11)) + tail
     # after snapping, distinct eigenvalues are farther apart than the tolerance
-    lams = {b.lam for b in snapped.blocks if b.kind == "H"}
-    assert all(abs(a - b) > 1e-10 for a in lams for b in lams if a != b)
+    lams = {b.lam for b in st.blocks if b.kind == "H"}
+    assert all(abs(a - b) > LAMBDA_TOL for a in lams for b in lams if a != b)
+
+
+def test_codimension_of_an_eigenvalue_chain():
+    # 0 and 1.2e-10 are farther apart than LAMBDA_TOL, but the chain through
+    # 0.6e-10 joins them: the codimension is that of 3 x H_1(0)
+    chain = CanonicalStructure(tuple(CanonicalBlock("H", 1, lam) for lam in (0.0, 0.6e-10, 1.2e-10)))
+    assert codimension(chain) == codimension(CanonicalStructure((CanonicalBlock("H", 1, 0.0),) * 3)) == 15

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 from skewpencil import (
+    LAMBDA_TOL,
     CanonicalBlock,
     CanonicalStructure,
     DirectSumError,
@@ -397,6 +398,38 @@ def test_intersection_equals_star_column_formula(data):
         rep = verify_direct_sum(pair, pat, backend)
         assert rep.rank_t == svd_rank(brute_tangent_matrix(pair)), backend
         assert rep.intersection_dim == rep.rank_t + rep.params_p - reference, backend
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_library_pair_and_pattern_agree_on_close_eigenvalues(backend):
+    # the pair and the pattern of one structure see one eigenvalue, not 0 and 1e-11
+    st = CanonicalStructure((CanonicalBlock("H", 1, 0.0), CanonicalBlock("H", 1, 1e-11)))
+    assert verify_direct_sum(make_structure_pair(st), assemble(st), backend).direct_sum_ok
+
+
+@PROPERTY
+@given(hs.data())
+def test_structure_snaps_moved_eigenvalues_back(data):
+    # shuffle the blocks and move each H eigenvalue by less than LAMBDA_TOL / (2k): each
+    # eigenvalue's copies stay one cluster, far from the others (the palette is 1 apart)
+    st = data.draw(hs.sampled_from(CORPUS_6))
+    step = LAMBDA_TOL / (2 * len(st.blocks))
+    offset = hs.floats(-step / 2, step / 2, exclude_min=True, exclude_max=True)
+    blocks = [CanonicalBlock("H", b.n, b.lam + complex(data.draw(offset), data.draw(offset)))
+              if b.kind == "H" else b for b in data.draw(hs.permutations(st.blocks))]
+    rebuilt = CanonicalStructure(tuple(blocks))
+    lams = {b.lam for b in st.blocks if b.kind == "H"}
+
+    def original(lam):
+        return min(lams, key=lambda x: abs(x - lam))
+
+    # the original blocks, each eigenvalue moved by less than step, and one value per eigenvalue
+    assert all(b.kind != "H" or abs(b.lam - original(b.lam)) < step for b in rebuilt.blocks)
+    assert CanonicalStructure(tuple(CanonicalBlock(b.kind, b.n, original(b.lam)) if b.kind == "H" else b
+                                    for b in rebuilt.blocks)).blocks == st.blocks
+    assert len({b.lam for b in rebuilt.blocks if b.kind == "H"}) == len(lams)
+    assert (verify_direct_sum(make_structure_pair(rebuilt), assemble(rebuilt))
+            == verify_direct_sum(make_structure_pair(st), assemble(st)))
 
 
 def test_float_rank_raises_on_overflow():
