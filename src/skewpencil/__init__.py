@@ -12,7 +12,6 @@ from .core import (
     SkewPair,
     congruence,
     direct_sum,
-    frobenius_off_pattern,
     make_F,
     make_G,
     make_block,
@@ -66,7 +65,6 @@ __all__ = [
     "SkewPair",
     "congruence",
     "direct_sum",
-    "frobenius_off_pattern",
     "make_F",
     "make_G",
     "make_block",

@@ -14,7 +14,6 @@ import json
 import sys
 
 from .core import (
-    SkewPair,
     dump_json,
     pair_from_json,
     structure_from_json,
@@ -72,7 +71,7 @@ def cmd_reduce(args) -> int:
     if perturbation.n != base.n:
         raise ValueError(
             f"perturbation is {perturbation.n}x{perturbation.n}, base needs {base.n}x{base.n}")
-    perturbed = SkewPair(base.A + perturbation.A, base.B + perturbation.B)
+    perturbed = base + perturbation
     pat = assemble(structure)
     trace = reduce_pair(base, perturbed, pat, tol=args.tol, max_iter=args.max_iter)
     print(dump_json(trace.to_json()))

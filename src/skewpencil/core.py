@@ -100,41 +100,68 @@ class CanonicalBlock:
         return (kind_rank, 0.0, 0.0, -self.n)
 
 
-@dataclass(frozen=True)
+def _skew_stack(AB: np.ndarray) -> np.ndarray:
+    """Check a (2, n, n) complex stack [A, B] as a skew pair and make it read-only."""
+    if not np.isfinite(AB).all():
+        raise ValueError("entries must be finite")
+    asym = AB + AB.swapaxes(1, 2)
+    # an exactly skew stack passes without computing any norm
+    if asym.any():
+        for M, E in zip(AB, asym):
+            if np.linalg.norm(E) > SKEW_RTOL * max(1.0, np.linalg.norm(M)):
+                raise ValueError("matrix is not skew-symmetric")
+    AB.setflags(write=False)
+    return AB
+
+
 class SkewPair:
-    """A pair (A, B) of n-by-n skew-symmetric complex matrices."""
+    """A pair (A, B) of n-by-n skew-symmetric complex matrices.
 
-    A: np.ndarray
-    B: np.ndarray
+    The pair holds one read-only (2, n, n) complex array, ``_AB`` = [A, B],
+    copied from the arguments and validated once; ``A`` and ``B`` are views
+    of it, made on each access.  ``+``, ``-`` and :func:`congruence` act on
+    the whole array at once.
+    """
 
-    def __post_init__(self):
-        A = np.array(self.A, dtype=complex)
-        B = np.array(self.B, dtype=complex)
+    __slots__ = ("_AB",)
+
+    def __init__(self, A, B):
+        A = np.asarray(A, dtype=complex)
+        B = np.asarray(B, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if B.shape != A.shape:
             raise ValueError("A and B must have the same shape")
-        if not (np.isfinite(A).all() and np.isfinite(B).all()):
-            raise ValueError("entries must be finite")
-        for M in (A, B):
-            asym = M + M.T
-            # an exactly skew matrix passes without computing either norm
-            if asym.any() and np.linalg.norm(asym) > SKEW_RTOL * max(1.0, np.linalg.norm(M)):
-                raise ValueError("matrix is not skew-symmetric")
-        A.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        # np.array copies, so the caller's arrays stay theirs and writable
+        self._AB = _skew_stack(np.array((A, B)))
+
+    @classmethod
+    def _of(cls, AB: np.ndarray) -> "SkewPair":
+        """The pair [A, B] = AB, for a new (2, n, n) complex array that no one else holds."""
+        pair = cls.__new__(cls)
+        pair._AB = _skew_stack(AB)
+        return pair
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._AB[0]
+
+    @property
+    def B(self) -> np.ndarray:
+        return self._AB[1]
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self._AB.shape[1]
+
+    def __repr__(self) -> str:
+        return f"SkewPair(A={self.A!r}, B={self.B!r})"
 
     def __add__(self, other: "SkewPair") -> "SkewPair":
-        return SkewPair(self.A + other.A, self.B + other.B)
+        return SkewPair._of(self._AB + other._AB)
 
     def __sub__(self, other: "SkewPair") -> "SkewPair":
-        return SkewPair(self.A - other.A, self.B - other.B)
+        return SkewPair._of(self._AB - other._AB)
 
     def norm(self) -> float:
         """Frobenius norm of the pair, sqrt(||A||^2 + ||B||^2)."""
@@ -217,15 +244,14 @@ def make_block(block: CanonicalBlock) -> SkewPair:
 def _block_diagonal(parts: list[tuple[np.ndarray, np.ndarray]]) -> SkewPair:
     """The pair with the (A, B) matrices of ``parts`` on its diagonal."""
     total = sum(A.shape[0] for A, _ in parts)
-    A = np.zeros((total, total), dtype=complex)
-    B = np.zeros((total, total), dtype=complex)
+    AB = np.zeros((2, total, total), dtype=complex)
     pos = 0
     for a, b in parts:
         d = a.shape[0]
-        A[pos:pos + d, pos:pos + d] = a
-        B[pos:pos + d, pos:pos + d] = b
+        AB[0, pos:pos + d, pos:pos + d] = a
+        AB[1, pos:pos + d, pos:pos + d] = b
         pos += d
-    return SkewPair(A, B)
+    return SkewPair._of(AB)
 
 
 def direct_sum(pairs: list[SkewPair]) -> SkewPair:
@@ -256,20 +282,8 @@ def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:
         cond = np.linalg.cond(S)
         if not np.isfinite(cond) or cond > 1e12:
             warnings.warn(f"congruence matrix is ill-conditioned (cond ~ {cond:.2e})")
-    A = S.T @ pair.A @ S
-    B = S.T @ pair.B @ S
-    A = 0.5 * (A - A.T)
-    B = 0.5 * (B - B.T)
-    return SkewPair(A, B)
-
-
-def frobenius_off_pattern(M: np.ndarray, mask: np.ndarray) -> float:
-    """Frobenius norm restricted to entries outside the star mask."""
-    M = np.asarray(M)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != M.shape:
-        raise ValueError("mask shape must match matrix shape")
-    return float(np.linalg.norm(M[~mask]))
+    M = S.T @ pair._AB @ S
+    return SkewPair._of(0.5 * (M - M.swapaxes(1, 2)))
 
 
 # -- JSON encoding -----------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SkewPair, congruence, frobenius_off_pattern, matrix_to_json, pair_to_json
+from .core import SkewPair, congruence, matrix_to_json, pair_to_json
 from .pattern import StarPattern
 from .tangent import _chart
 
@@ -30,8 +30,10 @@ DEFAULT_MAX_ITER = 30
 
 def pair_off_norm(delta: SkewPair, pattern: StarPattern) -> float:
     """Frobenius norm of a pair over the non-star positions."""
-    a = frobenius_off_pattern(delta.A, pattern.mask_a)
-    b = frobenius_off_pattern(delta.B, pattern.mask_b)
+    if pattern.n != delta.n:
+        raise ValueError("pattern dimension does not match pair")
+    a = np.linalg.norm(delta.A[~pattern.mask_a])
+    b = np.linalg.norm(delta.B[~pattern.mask_b])
     return float(np.hypot(a, b))
 
 
@@ -182,12 +184,12 @@ def reduce_pair(
     n = base.n
     P = perturbed
     S = np.eye(n, dtype=complex)
-    initial_off = pair_off_norm(P - base, pattern)
-    initial_full = (P - base).norm()
+    delta = P - base
+    off = initial_off = pair_off_norm(delta, pattern)
+    initial_full = delta.norm()
     records: list[IterationRecord] = []
-    off = initial_off
     while off > tol and len(records) < max_iter:
-        X, solve_residual, sweeps = _chart(base, pattern).solve(P, P - base)
+        X, solve_residual, sweeps = _chart(base, pattern).solve(P, delta)
         step = np.eye(n, dtype=complex) + X
         P = congruence(P, step)
         S = S @ step
@@ -198,7 +200,7 @@ def reduce_pair(
         converged=off <= tol,
         iterations=tuple(records),
         S=S,
-        D=P - base,
+        D=delta,
         initial_off_norm=initial_off,
         initial_full_norm=initial_full,
         tol=tol,

@@ -72,7 +72,7 @@ def tangent_map(pair: SkewPair) -> TangentMap:
     w, i, j = _rows(n, True, True)
     rows = np.arange(w.size)[:, None]
     q = np.arange(n) * n
-    M = np.array([pair.A, pair.B])
+    M = pair._AB
     T = np.zeros((w.size, n * n), dtype=complex)
     # at row (w, i, j) the image of E_qi is M_w[q, j] and that of E_qj is M_w[i, q];
     # + 0.0 turns -0.0 into +0.0, so T and the solves built on it hold no negative zeros
@@ -129,7 +129,7 @@ def _components(pair: SkewPair) -> np.ndarray:
 
     Components are numbered 0, 1, ... in the order of their smallest index.
     """
-    adj = (pair.A != 0) | (pair.B != 0)
+    adj = (pair._AB != 0).any(axis=0)
     # each index takes the smallest label among itself and its neighbours
     # until nothing changes: then every index holds its component's smallest index
     label = np.arange(pair.n)
@@ -138,6 +138,11 @@ def _components(pair: SkewPair) -> np.ndarray:
         if np.array_equal(smaller, label):
             return np.unique(label, return_inverse=True)[1]
         label = smaller
+
+
+def _conj_row(pair: SkewPair) -> np.ndarray:
+    """The n x 2n array [conj(A) | conj(B)]."""
+    return pair._AB.conj().transpose(1, 0, 2).reshape(pair.n, 2 * pair.n)
 
 
 class OffPatternSolver:
@@ -167,8 +172,8 @@ class OffPatternSolver:
         if pattern.n != base.n:
             raise ValueError("pattern dimension does not match pair")
         n = self.n = base.n
-        self._AB = np.vstack([base.A, base.B])
-        self._AB_bar = np.hstack([base.A.conj(), base.B.conj()])
+        self._AB = base._AB.reshape(2 * n, n)
+        self._AB_bar = _conj_row(base)
         # off row (w, i, j) sits at row w*n + i of a stacked 2n x n array;
         # up/down are the flat indices of (i, j)/(j, i)
         w, i, j = _rows(n, ~pattern.mask_a, ~pattern.mask_b)
@@ -180,8 +185,7 @@ class OffPatternSolver:
         # Gram entry (r, s) is <T^H e_r, T^H e_s>.  For r = (w, i, j), T^H e_r has
         # column i = conj(M_w)[:, j] and column j = -conj(M_w)[:, i], so each entry
         # is a signed sum of entries of H, H[w*n + p, v*n + q] = (M_w^T conj(M_v))[p, q]
-        K = np.hstack([base.A, base.B])
-        H = K.T @ K.conj()
+        H = self._AB_bar.conj().T @ self._AB_bar  # [A | B]^T conj([A | B])
         wi, wj = w * n + i, w * n + j
         self._pieces: list[tuple[np.ndarray, np.ndarray]] = []
         for size in sorted(set(sizes.tolist())):
@@ -198,12 +202,16 @@ class OffPatternSolver:
             U, sigma, Vh = np.linalg.svd(np.stack([g for g, _ in pieces]))
             # a Gram matrix is positive semidefinite; it is definite unless singular
             # at numpy's matrix_rank cut-off
-            singular = np.nonzero(sigma[:, -1] <= sigma[:, 0] * size * np.finfo(float).eps)[0]
+            cut = size * np.finfo(float).eps
+            singular = np.nonzero(sigma[:, -1] <= sigma[:, 0] * cut)[0]
             if singular.size:
-                first = pieces[singular[0]][1][0][0]
+                k = singular[0]
+                first = pieces[k][1][0][0]
                 a, b = sorted((int(label[i[first]]), int(label[j[first]])))
                 raise DirectSumError(f"piece ({a}, {b}): the off-pattern Gram matrix of base "
-                                     f"components {a} and {b} is not positive definite")
+                                     f"components {a} and {b} is not positive definite: "
+                                     f"sigma_min {sigma[k, -1]:.3e} <= sigma_max {sigma[k, 0]:.3e} "
+                                     f"* size*eps {cut:.3e}")
             G_inv = (Vh.conj().swapaxes(-1, -2) / sigma[:, None, :]) @ U.conj().swapaxes(-1, -2)
             self._pieces += [(g_inv.T, np.stack(r)) for g_inv, (_, r) in zip(G_inv, pieces)]
 
@@ -213,9 +221,9 @@ class OffPatternSolver:
             z[rows] = r[rows] @ G_inv_t
         return z
 
-    def _apply(self, AB: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """T X for AB = [A; B]: X^T M + M X = M X - (M X)^T for skew M."""
-        W = (AB @ X).ravel()
+    def _apply(self, W: np.ndarray) -> np.ndarray:
+        """T X from W = [A; B] X: X^T M + M X = M X - (M X)^T for skew M."""
+        W = W.ravel()
         return W[self._up] - W[self._down]
 
     def _adjoint(self, AB_bar: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -227,11 +235,11 @@ class OffPatternSolver:
 
     def _off(self, C: SkewPair) -> np.ndarray:
         """Off coordinates c of a pair C."""
-        return np.concatenate([C.A.ravel(), C.B.ravel()])[self._up]
+        return C._AB.take(self._up)
 
-    def _residual(self, AB: np.ndarray, X: np.ndarray, c: np.ndarray) -> float:
-        """||T X + c|| / max(1, ||c||); above 1e-7 :class:`DirectSumError` is raised."""
-        residual = np.linalg.norm(self._apply(AB, X) + c)
+    def _residual(self, W: np.ndarray, c: np.ndarray) -> float:
+        """||T X + c|| / max(1, ||c||) from W = [A; B] X; above 1e-7 :class:`DirectSumError` is raised."""
+        residual = np.linalg.norm(self._apply(W) + c)
         scale = max(1.0, np.linalg.norm(c))
         if not residual <= 1e-7 * scale:  # NaN fails too
             raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
@@ -244,10 +252,15 @@ class OffPatternSolver:
         application and one adjoint replace the iteration.  The residual is
         checked as in :meth:`solve`.
         """
+        return self._project(C)[0]
+
+    def _project(self, C: SkewPair) -> tuple[np.ndarray, np.ndarray]:
+        """(X, W) with X as in :meth:`project` and W = [A; B] X, the product its residual is checked on."""
         c = self._off(C)
         X = self._adjoint(self._AB_bar, self._precondition(-c))
-        self._residual(self._AB, X, c)
-        return X
+        W = self._AB @ X
+        self._residual(W, c)
+        return X, W
 
     def schedule_c(self) -> float:
         """2 sum_r ||T^H G^-1 e_r|| over the off rows r, at the base.
@@ -265,8 +278,8 @@ class OffPatternSolver:
         The solve residual is ||T X + c|| / max(1, ||c||); above 1e-7 the
         system is inconsistent and :class:`DirectSumError` is raised.
         """
-        AB = np.vstack([P.A, P.B])
-        AB_bar = np.hstack([P.A.conj(), P.B.conj()])
+        AB = P._AB.reshape(2 * self.n, self.n)
+        AB_bar = _conj_row(P)
         c = self._off(C)
         X = np.zeros((self.n, self.n), dtype=complex)
         r = -c
@@ -277,7 +290,7 @@ class OffPatternSolver:
             p, rz = z, np.vdot(r, z).real
             while sweeps < MAX_SWEEPS:
                 Xp = self._adjoint(AB_bar, p)
-                q = self._apply(AB, Xp)
+                q = self._apply(AB @ Xp)
                 pq = np.vdot(p, q).real
                 if pq <= 0:
                     break  # T^H p = 0: the Gram matrix at P is singular
@@ -290,7 +303,7 @@ class OffPatternSolver:
                 z = self._precondition(r)
                 rz, rz_old = np.vdot(r, z).real, rz
                 p = z + (rz / rz_old) * p
-        return X, self._residual(AB, X, c), sweeps
+        return X, self._residual(AB @ X, c), sweeps
 
 
 #: the last chart built, with the content key of its inputs; see :func:`_chart`
@@ -300,14 +313,14 @@ _last_chart: tuple[tuple, OffPatternSolver] | None = None
 def _chart(pair: SkewPair, pattern: StarPattern) -> OffPatternSolver:
     """The base chart of (pair, pattern), rebuilt only when their content changes.
 
-    One memo slot, keyed on the bytes, dtype and shape of A, B and both
-    masks: the projections, corrections and schedule of one base share one
+    One memo slot, keyed on the bytes of the pair's (2, n, n) complex array
+    and of both n x n bool masks, whose lengths fix their shapes: the
+    projections, corrections and schedule of one base share one
     factorisation, including across pair and pattern objects rebuilt with
     equal content, and a new base replaces the slot.
     """
     global _last_chart
-    key = tuple([(M.tobytes(), M.dtype.str, M.shape)
-                 for M in (pair.A, pair.B, pattern.mask_a, pattern.mask_b)])
+    key = (pair._AB.tobytes(), pattern.mask_a.tobytes(), pattern.mask_b.tobytes())
     # read the slot once, so that a thread replacing it meanwhile cannot hand
     # this caller the chart of another base
     last = _last_chart
@@ -451,13 +464,11 @@ def project_to_pattern(
     if C.n != n or pattern.n != n:
         raise ValueError("dimension mismatch")
     try:
-        chart = _chart(pair0, pattern)
-        S = chart.project(C)
+        S, MS = _chart(pair0, pattern)._project(C)
     except DirectSumError as exc:
         exc.report = verify_direct_sum(pair0, pattern, backend="float")
         raise
-    # S^T M + M S = M S - (M S)^T for skew M; the chart holds [A; B] of pair0
-    MS = chart._AB @ S
-    dA, dB = MS[:n] - MS[:n].T, MS[n:] - MS[n:].T
-    D = SkewPair(0.5 * (C.A - C.A.T) + dA, 0.5 * (C.B - C.B.T) + dB)
+    # S^T M + M S = M S - (M S)^T for skew M; MS stacks M S over M = A, B of pair0
+    MS = MS.reshape(2, n, n)
+    D = SkewPair._of(0.5 * (C._AB - C._AB.swapaxes(1, 2)) + (MS - MS.swapaxes(1, 2)))
     return D, S

@@ -10,7 +10,6 @@ from skewpencil import (
     SkewPair,
     congruence,
     direct_sum,
-    frobenius_off_pattern,
     make_F,
     make_G,
     make_block,
@@ -23,6 +22,7 @@ from skewpencil import (
     structure_from_json,
     structure_to_json,
 )
+from skewpencil.core import SKEW_RTOL
 
 
 def test_jordan_1x1():
@@ -185,13 +185,88 @@ def test_skew_pair_rejects_non_skew():
         SkewPair(np.eye(2), np.zeros((2, 2)))
 
 
-def test_off_pattern_norm():
-    mask = np.array([[False, True], [True, False]])
-    M = np.array([[0, 7], [-7, 0]], dtype=complex)
-    assert frobenius_off_pattern(M, mask) == 0
-    assert frobenius_off_pattern(M, np.zeros((2, 2), dtype=bool)) == pytest.approx(np.sqrt(98))
-    with pytest.raises(ValueError):
-        frobenius_off_pattern(M, np.zeros((3, 3), dtype=bool))
+def test_skew_pair_refuses_malformed_shapes():
+    Z = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="A must be square"):
+        SkewPair(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="A must be square"):
+        SkewPair(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="same shape"):
+        SkewPair(Z, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="same shape"):
+        SkewPair(Z, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)])
+def test_skew_pair_refuses_non_finite_entries(bad):
+    M = np.zeros((3, 3), dtype=complex)
+    M[0, 2], M[2, 0] = bad, -bad
+    for A, B in ((M, np.zeros((3, 3))), (np.zeros((3, 3)), M)):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            SkewPair(A, B)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_skew_pair_skew_tolerance_is_relative_per_matrix(which):
+    # M = K + t Y with K skew of norm 5 and Y symmetric with ||Y + Y^T|| = 1, so
+    # ||M + M^T|| = t against the bound SKEW_RTOL * max(1, ||M||), about 5e-12;
+    # the other matrix, of norm 100, must not widen M's bound
+    rng = np.random.default_rng(17)
+    K = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    K = K - K.T
+    K *= 5 / np.linalg.norm(K)
+    Y = rng.standard_normal((4, 4))
+    Y = Y + Y.T
+    Y /= np.linalg.norm(Y + Y.T)
+    bound = SKEW_RTOL * np.linalg.norm(K)
+    other = 100 * K / 5
+    for t, ok in ((0.99 * bound, True), (1.01 * bound, False)):
+        M = K + t * Y
+        args = (M, other) if which == 0 else (other, M)
+        if ok:
+            SkewPair(*args)
+        else:
+            with pytest.raises(ValueError, match="not skew-symmetric"):
+                SkewPair(*args)
+
+
+def test_skew_pair_is_read_only_and_leaves_the_callers_arrays_alone():
+    A = np.array([[0, 1 + 2j], [-1 - 2j, 0]])
+    B = np.array([[0, 3], [-3, 0]])  # integer input is converted
+    pair = SkewPair(A, B)
+    for M in (pair.A, pair.B):
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 1] = 7
+    with pytest.raises(AttributeError):
+        pair.A = A
+    with pytest.raises(AttributeError):
+        pair.B = B
+    # the pair holds a copy: the caller's arrays stay writable and unaliased
+    assert A.flags.writeable and B.flags.writeable
+    assert not np.shares_memory(pair.A, A) and not np.shares_memory(pair.B, B)
+    A[0, 1], A[1, 0] = 5, -5
+    assert pair.A[0, 1] == 1 + 2j
+    assert pair.n == 2 and pair.B.dtype == complex
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 21])
+def test_congruence_matches_the_per_matrix_formula_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+
+    def skew():
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return M - M.T
+
+    A, B = skew(), skew()
+    S = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    moved = congruence(SkewPair(A, B), S)
+    for got, X in ((moved.A, A), (moved.B, B)):
+        M = S.T @ X @ S
+        assert got.tobytes() == (0.5 * (M - M.T)).tobytes()
+    total, diff = SkewPair(A, B) + moved, SkewPair(A, B) - moved
+    assert total.A.tobytes() == (A + moved.A).tobytes() and total.B.tobytes() == (B + moved.B).tobytes()
+    assert diff.A.tobytes() == (A - moved.A).tobytes() and diff.B.tobytes() == (B - moved.B).tobytes()
 
 
 def test_structure_canonical_order():

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from skewpencil import (
     project_to_pattern,
     reduce_pair,
     schedule_for,
+    verify_direct_sum,
 )
 from skewpencil.tangent import OffPatternSolver, _components
 
@@ -307,6 +309,34 @@ def test_schedule_raises_without_direct_sum():
     with pytest.raises(DirectSumError, match=r"piece \(0, 0\)") as err:
         project_to_pattern(base, empty, random_skew_pair(np.random.default_rng(45), 2, scale=1.0))
     assert err.value.report is not None and not err.value.report.direct_sum_ok
+
+
+def test_pair_off_norm_reads_the_masks():
+    mask = np.array([[False, True], [True, False]])
+    M = np.array([[0, 7], [-7, 0]], dtype=complex)
+    pat = StarPattern(2, mask, np.zeros((2, 2), dtype=bool))
+    # A's entries are stars and drop out; B's are not
+    assert pair_off_norm(SkewPair(M, np.zeros((2, 2))), pat) == 0
+    assert pair_off_norm(SkewPair(M, M), pat) == pytest.approx(np.sqrt(98))
+    with pytest.raises(ValueError, match="pattern dimension does not match pair"):
+        pair_off_norm(SkewPair(np.zeros((3, 3)), np.zeros((3, 3))), pat)
+
+
+def test_chart_refusal_states_the_singular_value_test():
+    # H_2(0) + H_2(delta): the exact check passes, but at delta = 5e-3 the off-pattern
+    # Gram piece of the two blocks is singular at the size*eps cut-off; at 1e-2 it is not
+    st, base, pat = setup((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 5e-3)))
+    assert verify_direct_sum(base, pat).direct_sum_ok
+    with pytest.raises(DirectSumError, match=r"piece \(0, 1\)") as err:
+        OffPatternSolver(base, pat)
+    found = re.search(r"sigma_min (\S+) <= sigma_max (\S+) \* size\*eps (\S+)$", str(err.value))
+    assert found, str(err.value)
+    sigma_min, sigma_max, cut = map(float, found.groups())
+    assert 0 < sigma_min <= sigma_max * cut
+    size = cut / np.finfo(float).eps
+    assert size == pytest.approx(round(size), rel=1e-3) and round(size) > 1
+    _, base, pat = setup((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 1e-2)))
+    OffPatternSolver(base, pat)
 
 
 def test_schedule_requires_m_at_least_3():
