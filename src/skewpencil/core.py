@@ -226,14 +226,14 @@ class CanonicalStructure:
         return offs
 
 
-def _block_matrices(block: CanonicalBlock) -> tuple[np.ndarray, np.ndarray]:
-    """The (A, B) matrices of one canonical block, exactly skew."""
+def _block_matrices(block: CanonicalBlock) -> np.ndarray:
+    """The (2, d, d) stack [A, B] of one canonical block, exactly skew."""
     n = block.n
     if block.kind == "H":
-        return skew_embed(np.eye(n, dtype=complex)), skew_embed(make_jordan(n, block.lam))
+        return np.array((skew_embed(np.eye(n, dtype=complex)), skew_embed(make_jordan(n, block.lam))))
     if block.kind == "K":
-        return skew_embed(make_jordan(n, 0.0)), skew_embed(np.eye(n, dtype=complex))
-    return skew_embed(make_F(n)), skew_embed(make_G(n))
+        return np.array((skew_embed(make_jordan(n, 0.0)), skew_embed(np.eye(n, dtype=complex))))
+    return np.array((skew_embed(make_F(n)), skew_embed(make_G(n))))
 
 
 def make_block(block: CanonicalBlock) -> SkewPair:
@@ -241,22 +241,25 @@ def make_block(block: CanonicalBlock) -> SkewPair:
     return SkewPair(*_block_matrices(block))
 
 
-def _block_diagonal(parts: list[tuple[np.ndarray, np.ndarray]]) -> SkewPair:
-    """The pair with the (A, B) matrices of ``parts`` on its diagonal."""
-    total = sum(A.shape[0] for A, _ in parts)
-    AB = np.zeros((2, total, total), dtype=complex)
+def _on_diagonal(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """A new (2, N, N) array of ``dtype``, zero but for the (2, d, d) ``parts`` down its diagonal.
+
+    The one placement of blocks: pairs (complex [A, B]) and patterns (bool
+    [mask_a, mask_b]) are both assembled with it.
+    """
+    total = sum(p.shape[-1] for p in parts)
+    out = np.zeros((2, total, total), dtype=dtype)
     pos = 0
-    for a, b in parts:
-        d = a.shape[0]
-        AB[0, pos:pos + d, pos:pos + d] = a
-        AB[1, pos:pos + d, pos:pos + d] = b
+    for p in parts:
+        d = p.shape[-1]
+        out[:, pos:pos + d, pos:pos + d] = p
         pos += d
-    return SkewPair._of(AB)
+    return out
 
 
 def direct_sum(pairs: list[SkewPair]) -> SkewPair:
     """Block-diagonal sum of skew pairs; the empty sum is the 0x0 pair."""
-    return _block_diagonal([(p.A, p.B) for p in pairs])
+    return SkewPair._of(_on_diagonal([p._AB for p in pairs], complex))
 
 
 def make_structure_pair(structure: CanonicalStructure) -> SkewPair:
@@ -264,7 +267,7 @@ def make_structure_pair(structure: CanonicalStructure) -> SkewPair:
 
     The sum is validated once, not block by block.
     """
-    return _block_diagonal([_block_matrices(b) for b in structure.blocks])
+    return SkewPair._of(_on_diagonal([_block_matrices(b) for b in structure.blocks], complex))
 
 
 def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:
@@ -306,6 +309,14 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
+def _json_key(obj: dict, key: str, what: str):
+    """obj[key], where obj is the JSON object called ``what`` in messages."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing key {key!r}") from None
+
+
 def _json_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -325,10 +336,11 @@ def _json_complex(value, what: str) -> complex:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     obj = _json_object(obj, "matrix")
-    rows, cols = _json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols")
+    rows = _json_int(_json_key(obj, "rows", "matrix"), "rows")
+    cols = _json_int(_json_key(obj, "cols", "matrix"), "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"rows and cols must be >= 0, got rows={rows}, cols={cols}")
-    entries = obj["entries"]
+    entries = _json_key(obj, "entries", "matrix")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError("entry count does not match rows*cols")
     try:
@@ -352,7 +364,8 @@ def pair_to_json(pair: SkewPair) -> dict:
 
 def pair_from_json(obj: dict) -> SkewPair:
     obj = _json_object(obj, "pair")
-    return SkewPair(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]))
+    return SkewPair(matrix_from_json(_json_key(obj, "A", "pair")),
+                    matrix_from_json(_json_key(obj, "B", "pair")))
 
 
 def structure_to_json(structure: CanonicalStructure) -> dict:
@@ -366,7 +379,7 @@ def structure_to_json(structure: CanonicalStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> CanonicalStructure:
-    blocks = _json_object(obj, "structure")["blocks"]
+    blocks = _json_key(_json_object(obj, "structure"), "blocks", "structure")
     if not isinstance(blocks, list):
         raise ValueError(f"blocks must be a list, got {blocks!r}")
     out = []
@@ -374,7 +387,8 @@ def structure_from_json(obj: dict) -> CanonicalStructure:
         s = _json_object(s, "block")
         # a "lambda" on a K or L block is passed on, and CanonicalBlock refuses a nonzero one
         lam = _json_complex(s.get("lambda", [0.0, 0.0]), "lambda")
-        out.append(CanonicalBlock(s["kind"], _json_int(s["n"], "block size n"), lam))
+        kind, n = _json_key(s, "kind", "block"), _json_key(s, "n", "block")
+        out.append(CanonicalBlock(kind, _json_int(n, "block size n"), lam))
     return CanonicalStructure(tuple(out))
 
 

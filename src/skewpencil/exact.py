@@ -84,28 +84,31 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     return r // 2
 
 
+def _gaussian_ints(values: list[complex]) -> dict[complex, tuple[int, int]]:
+    """Each distinct value times one common positive denominator, as an exact (re, im) integer pair.
+
+    The values must be finite; every binary float is a ratio of integers,
+    so the scaled values are exact.  Each distinct value is converted once,
+    by ``as_integer_ratio``, and the denominator is the least common
+    multiple of all their denominators.
+    """
+    ratios = {z: (z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in set(values)}
+    denom = lcm(*(d for ri in ratios.values() for _, d in ri))
+    return {z: (a * (denom // da), b * (denom // db)) for z, ((a, da), (b, db)) in ratios.items()}
+
+
 def pair_to_gaussian_ints(pair: SkewPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scale a pair with (binary-exact) rational entries to Gaussian integers.
 
     Returns object arrays of python ints (Are, Aim, Bre, Bim) equal to the
-    original entries times a common positive denominator.  Scaling a pair
-    scales its tangent map, leaving every rank unchanged.  Only the nonzero
-    entries are converted, each to its exact ratio of integers; zeros stay
-    the int 0.
+    original entries times the common denominator of :func:`_gaussian_ints`.
+    Scaling a pair scales its tangent map, leaving every rank unchanged.
+    Zeros stay the int 0.
     """
-    parts = []
-    denom = 1
-    for M in (pair.A, pair.B):
-        rows, cols = np.nonzero(M)
-        ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in M[rows, cols].tolist()]
-        denom = lcm(denom, *(d for ri in ratios for _, d in ri))
-        parts.append((rows.tolist(), cols.tolist(), ratios))
-    out = []
-    for rows, cols, ratios in parts:
-        re = np.zeros((pair.n, pair.n), dtype=object)
-        im = np.zeros((pair.n, pair.n), dtype=object)
-        for i, j, ((a, da), (b, db)) in zip(rows, cols, ratios):
-            re[i, j] = a * (denom // da)
-            im[i, j] = b * (denom // db)
-        out += [re, im]
-    return out[0], out[1], out[2], out[3]
+    index = np.nonzero(pair._AB)
+    values = pair._AB[index].tolist()
+    ints = _gaussian_ints(values)
+    out = np.zeros((2, 2, pair.n, pair.n), dtype=object)
+    for w, i, j, z in zip(*(x.tolist() for x in index), values):
+        out[w, :, i, j] = ints[z]
+    return out[0, 0], out[0, 1], out[1, 0], out[1, 1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CanonicalBlock, CanonicalStructure
+from .core import CanonicalBlock, CanonicalStructure, _on_diagonal
 
 SHAPE_TAGS = (
     "corner_nw",
@@ -181,34 +181,48 @@ class StarPattern:
         }
 
 
+def _diagonal_masks(blocks) -> dict[CanonicalBlock, np.ndarray]:
+    """The (2, d, d) stack [mask_a, mask_b] of :func:`diag_block`, once per distinct block."""
+    return {b: np.array(diag_block(b)) for b in dict.fromkeys(blocks)}
+
+
+def _pattern(blocks: tuple[CanonicalBlock, ...], diag: dict[CanonicalBlock, np.ndarray]) -> StarPattern:
+    """The pattern of the direct sum of ``blocks``, given in canonical order.
+
+    ``diag`` holds each block's diagonal masks (:func:`_diagonal_masks`).
+    Each distinct block pair (bi, bj), i < j, is rendered once and placed
+    at every (i, j) it occupies, and mirrored by transposition below the
+    diagonal.
+    """
+    masks = _on_diagonal([diag[b] for b in blocks], bool)
+    offs = [0]
+    for b in blocks:
+        offs.append(offs[-1] + b.dim)
+    rendered: dict[tuple[CanonicalBlock, CanonicalBlock], np.ndarray] = {}
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            key = (blocks[i], blocks[j])
+            off = rendered.get(key)
+            if off is None:
+                off = rendered[key] = np.array(offdiag_block(*key))
+            rows, cols = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
+            masks[:, rows, cols] = off
+            masks[:, cols, rows] = off.swapaxes(1, 2)
+    return StarPattern(offs[-1], masks[0], masks[1])
+
+
 def assemble(structure: CanonicalStructure) -> StarPattern:
     """Build the full deformation pattern of a canonical structure.
 
     Diagonal blocks are placed as-is; each off-diagonal block (i < j) is
-    rendered once and mirrored by transposition below the diagonal.  H
-    blocks share stars exactly when the structure gives them one eigenvalue,
-    so the pattern matches ``make_structure_pair`` of the same structure.
+    mirrored by transposition below the diagonal.  Each distinct block and
+    each distinct block pair is rendered once per call: 8H_2(0) + 8L_1
+    renders 2 diagonal and 3 off-diagonal blocks, not 16 and 120.  H
+    blocks share stars exactly when the structure gives them one
+    eigenvalue, so the pattern matches ``make_structure_pair`` of the same
+    structure.
     """
-    n = structure.dim
-    mask_a = np.zeros((n, n), dtype=bool)
-    mask_b = np.zeros((n, n), dtype=bool)
-    offs = structure.block_offsets()
-    blocks = structure.blocks
-    for k, b in enumerate(blocks):
-        o, d = offs[k], b.dim
-        da, db = diag_block(b)
-        mask_a[o:o + d, o:o + d] = da
-        mask_b[o:o + d, o:o + d] = db
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            oi, oj = offs[i], offs[j]
-            di, dj = blocks[i].dim, blocks[j].dim
-            oa, ob = offdiag_block(blocks[i], blocks[j])
-            mask_a[oi:oi + di, oj:oj + dj] = oa
-            mask_b[oi:oi + di, oj:oj + dj] = ob
-            mask_a[oj:oj + dj, oi:oi + di] = oa.T
-            mask_b[oj:oj + dj, oi:oi + di] = ob.T
-    return StarPattern(n, mask_a, mask_b)
+    return _pattern(structure.blocks, _diagonal_masks(structure.blocks))
 
 
 def codimension(structure: CanonicalStructure) -> int:

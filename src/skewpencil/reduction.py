@@ -185,17 +185,21 @@ def reduce_pair(
     P = perturbed
     S = np.eye(n, dtype=complex)
     delta = P - base
-    off = initial_off = pair_off_norm(delta, pattern)
-    initial_full = delta.norm()
-    records: list[IterationRecord] = []
-    while off > tol and len(records) < max_iter:
-        X, solve_residual, sweeps = _chart(base, pattern).solve(P, delta)
-        step = np.eye(n, dtype=complex) + X
-        P = congruence(P, step)
-        S = S @ step
-        delta = P - base
-        off = pair_off_norm(delta, pattern)
-        records.append(IterationRecord(X, off, delta.norm(), solve_residual, sweeps))
+    # entries near the float limit overflow the norms and products to inf and
+    # NaN; the solve then refuses its non-finite correction, so numpy's warnings
+    # would only repeat that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = initial_off = pair_off_norm(delta, pattern)
+        initial_full = delta.norm()
+        records: list[IterationRecord] = []
+        while off > tol and len(records) < max_iter:
+            X, solve_residual, sweeps = _chart(base, pattern).solve(P, delta)
+            step = np.eye(n, dtype=complex) + X
+            P = congruence(P, step)
+            S = S @ step
+            delta = P - base
+            off = pair_off_norm(delta, pattern)
+            records.append(IterationRecord(X, off, delta.norm(), solve_residual, sweeps))
     return ReductionTrace(
         converged=off <= tol,
         iterations=tuple(records),

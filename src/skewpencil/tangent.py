@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LAMBDA_TOL, CanonicalStructure, SkewPair, make_structure_pair
-from .exact import gaussian_columns_rank, pair_to_gaussian_ints
-from .pattern import StarPattern, assemble
+from .core import LAMBDA_TOL, CanonicalStructure, SkewPair, _block_matrices, _on_diagonal
+from .exact import _gaussian_ints, gaussian_columns_rank
+from .pattern import StarPattern, _diagonal_masks, _pattern
 
 #: singular values below this fraction of the largest are treated as zero
 FLOAT_RANK_RTOL = 1e-9
@@ -96,25 +96,28 @@ def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
 
     Columns come in the order of their elementary matrices E_ij (index
     i*n + j).  Row (w, i, j) of :func:`_rows` is keyed by its flat index
-    (w*n + i)*n + j, so the keys sort as the rows do.  The image of E_ij
-    holds M[i, q] at (j, q) and M[p, i] at (p, j), so each nonzero M[r, c]
-    is written once per column it reaches: to (j, c) of E_rj for j < c, and
-    to (r, j) of E_cj for j > r.  No two entries reach the same row of one
-    column.
+    (w*n + i)*n + j in a (2, n, n) array, so the keys sort as the rows do.
+    The image of E_ij holds M[i, q] at (j, q) and M[p, i] at (p, j), so
+    each nonzero M[r, c] is written once per column it reaches: to (j, c)
+    of E_rj for j < c, and to (r, j) of E_cj for j > r.  No two entries
+    reach the same row of one column.  The entries are scaled by one
+    common denominator, each distinct value converted once
+    (:func:`~skewpencil.exact._gaussian_ints`); a canonical pair holds only
+    a few distinct values.
     """
-    Are, Aim, Bre, Bim = pair_to_gaussian_ints(pair)
     n = pair.n
+    index = np.nonzero(pair._AB)
+    values = pair._AB[index].tolist()
+    ints = _gaussian_ints(values)
     cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(n * n)]
-    for w, (M, re, im) in enumerate(((pair.A, Are, Aim), (pair.B, Bre, Bim))):
-        rows, cs = np.nonzero(M)
-        for r, c in zip(rows.tolist(), cs.tolist()):
-            v = (re[r, c], im[r, c])
-            key = w * n * n + c
-            for j, col in enumerate(cols[r * n:r * n + c]):
-                col[key + j * n] = v
-            key = (w * n + r) * n
-            for j, col in enumerate(cols[c * n + r + 1:c * n + n], r + 1):
-                col[key + j] = v
+    for w, r, c, z in zip(*(x.tolist() for x in index), values):
+        v = ints[z]
+        key = w * n * n + c
+        for j, col in enumerate(cols[r * n:r * n + c]):
+            col[key + j * n] = v
+        key = (w * n + r) * n
+        for j, col in enumerate(cols[c * n + r + 1:c * n + n], r + 1):
+            col[key + j] = v
     return [col for col in cols if col]
 
 
@@ -276,7 +279,8 @@ class OffPatternSolver:
         """(X, solve residual, sweeps): the minimum-norm X with C + X^T P + P X zero off the stars.
 
         The solve residual is ||T X + c|| / max(1, ||c||); above 1e-7 the
-        system is inconsistent and :class:`DirectSumError` is raised.
+        system is inconsistent and :class:`DirectSumError` is raised, as it
+        is for a non-finite X.
         """
         AB = P._AB.reshape(2 * self.n, self.n)
         AB_bar = _conj_row(P)
@@ -303,6 +307,8 @@ class OffPatternSolver:
                 z = self._precondition(r)
                 rz, rz_old = np.vdot(r, z).real, rz
                 p = z + (rz / rz_old) * p
+        if not np.isfinite(X).all():
+            raise DirectSumError("the correction is not finite: the pair is too large for float arithmetic")
         return X, self._residual(AB @ X, c), sweeps
 
 
@@ -366,9 +372,9 @@ def verify_direct_sum(pair: SkewPair, pattern: StarPattern, backend: str = "exac
     if backend == "exact":
         cols = _exact_tangent_columns(pair)
         rank_t = gaussian_columns_rank(cols)
-        # the star rows, by the flat index that keys the exact columns
-        w, i, j = _rows(n, pattern.mask_a, pattern.mask_b)
-        stars = set(((w * n + i) * n + j).tolist())
+        # the star rows, by their flat index in the (2, n, n) masks, which keys the exact
+        # columns; the mirrors below the diagonal key no tangent row and drop nothing
+        stars = set(np.flatnonzero(np.array((pattern.mask_a, pattern.mask_b))).tolist())
         rank_off = gaussian_columns_rank([col if stars.isdisjoint(col) else
                                           {k: v for k, v in col.items() if k not in stars} for col in cols])
     elif backend == "float":
@@ -403,21 +409,29 @@ def verify_pairwise(
     The full pattern is miniversal exactly when every one- and two-summand
     substructure passes its own direct-sum check.  Reports come for (i, i)
     in block order, then for each i < j.  A substructure is determined by
-    its blocks, so each distinct one is checked once and its report is
-    reused at every (i, j) with the same blocks.  ``lambda_tol`` is
-    accepted and ignored: the structure has already decided which
-    eigenvalues coincide (see :class:`~skewpencil.core.CanonicalStructure`).
+    its blocks, so each distinct one is checked once, by
+    :func:`verify_direct_sum`, and its report is reused at every (i, j)
+    with the same blocks.  Its pair and pattern are assembled from parts
+    built once per call: each distinct block's matrices and diagonal
+    masks, and the off-diagonal masks of each distinct block pair.  They
+    equal ``make_structure_pair`` and ``assemble`` of the substructure,
+    whose blocks are already in canonical order.  Nothing is kept between
+    calls.  ``lambda_tol`` is accepted and ignored: the structure has
+    already decided which eigenvalues coincide (see
+    :class:`~skewpencil.core.CanonicalStructure`).
     """
     blocks = structure.blocks
     k = len(blocks)
     index = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+    matrices = {b: _block_matrices(b) for b in dict.fromkeys(blocks)}
+    diag = _diagonal_masks(blocks)
     memo: dict[tuple, DecompositionReport] = {}
     out = []
     for i, j in index:
         key = (blocks[i],) if i == j else (blocks[i], blocks[j])
         if key not in memo:
-            sub = CanonicalStructure(key)
-            memo[key] = verify_direct_sum(make_structure_pair(sub), assemble(sub), backend)
+            pair = SkewPair._of(_on_diagonal([matrices[b] for b in key], complex))
+            memo[key] = verify_direct_sum(pair, _pattern(key, diag), backend)
         out.append(PairwiseReport(i, j, memo[key]))
     return out
 

@@ -8,9 +8,10 @@ correction are dense least-squares solves on the brute-force tangent
 matrix, the schedule constant is read off its dense pseudo-inverse, and
 the direct-sum intersection is rank_T + p - rank[T | D], with D one unit
 column per star; none of them share code with the package paths they
-check.  The one exception is the pairwise loop, which is
-``verify_pairwise`` without its reuse of equal substructures and so the
-reference for that reuse alone.
+check.  Two exceptions are references for reuse alone: the pairwise loop
+is ``verify_pairwise`` without its reuse of equal substructures, and the
+pattern renderer is ``assemble`` without its reuse of equal blocks and
+block pairs; both call the library's per-block builders.
 """
 
 from fractions import Fraction
@@ -22,7 +23,9 @@ from skewpencil import (
     PairwiseReport,
     SkewPair,
     assemble,
+    diag_block,
     make_structure_pair,
+    offdiag_block,
     verify_direct_sum,
 )
 
@@ -158,6 +161,26 @@ def pairwise_reports_unmemoised(structure, backend="exact"):
         rep = verify_direct_sum(make_structure_pair(sub), assemble(sub), backend)
         out.append(PairwiseReport(i, j, rep))
     return out
+
+
+def masks_unmemoised(structure) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of ``assemble(structure)``, rendering every block and every block pair anew."""
+    n = structure.dim
+    mask_a = np.zeros((n, n), dtype=bool)
+    mask_b = np.zeros((n, n), dtype=bool)
+    offs = structure.block_offsets()
+    blocks = structure.blocks
+    for k, b in enumerate(blocks):
+        o, d = offs[k], b.dim
+        mask_a[o:o + d, o:o + d], mask_b[o:o + d, o:o + d] = diag_block(b)
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            rows = slice(offs[i], offs[i] + blocks[i].dim)
+            cols = slice(offs[j], offs[j] + blocks[j].dim)
+            oa, ob = offdiag_block(blocks[i], blocks[j])
+            mask_a[rows, cols], mask_b[rows, cols] = oa, ob
+            mask_a[cols, rows], mask_b[cols, rows] = oa.T, ob.T
+    return mask_a, mask_b
 
 
 def upper_stars(mask) -> set:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,18 @@ BAD_INPUTS = {
         "A": {"rows": -1, "cols": -1, "entries": [[0, 0]]}, "B": _GOOD_MATRIX}),
 }
 
+# "missing-<key>": each JSON object without one of its keys; the message names the key
+BAD_INPUTS.update({
+    "missing-blocks": ("verify", {"block": []}, None),
+    "missing-kind": ("verify", {"blocks": [{"n": 1}]}, None),
+    "missing-n": ("codim", {"blocks": [{"kind": "L"}]}, None),
+    "missing-A": ("reduce", _h1([0, 0]), {"n": 2, "B": _GOOD_MATRIX}),
+    "missing-B": ("reduce", _h1([0, 0]), {"n": 2, "A": _GOOD_MATRIX}),
+    "missing-rows": ("reduce", _h1([0, 0]), {"A": {"cols": 2, "entries": []}, "B": _GOOD_MATRIX}),
+    "missing-cols": ("reduce", _h1([0, 0]), {"A": {"rows": 2, "entries": []}, "B": _GOOD_MATRIX}),
+    "missing-entries": ("reduce", _h1([0, 0]), {"A": {"rows": 2, "cols": 2}, "B": _GOOD_MATRIX}),
+})
+
 
 def test_bad_schema_exits_2(tmp_path, capsys):
     for name, (command, structure, perturbation) in BAD_INPUTS.items():
@@ -249,6 +262,8 @@ def test_bad_schema_exits_2(tmp_path, capsys):
         assert code == 2, name
         assert "skewpencil: error:" in err, name
         assert "Traceback" not in err, name
+        if name.startswith("missing-"):
+            assert f"is missing key {name[len('missing-'):]!r}" in err, (name, err)
 
 
 @pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol", "-1"]])
@@ -268,6 +283,20 @@ def test_verify_float_overflow_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, ["verify", str(path), "--backend", "float"])
     assert code == 2 and out == ""
     assert "skewpencil: error: float rank" in err
+
+
+def test_reduce_overflow_exits_2_with_one_error_line(tmp_path, capsys):
+    _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
+    entries = [[0, 0], [1e300, 0], [-1e300, 0], [0, 0]]
+    big = {"rows": 2, "cols": 2, "entries": entries}
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps({"n": 2, "A": big, "B": big}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["skewpencil: error: the correction is not finite: "
+                                "the pair is too large for float arithmetic"]
 
 
 def test_unknown_command_exits_2(capsys):

@@ -9,13 +9,15 @@ from skewpencil import (
     assemble,
     codimension,
     diag_block,
+    enumerate_structures,
     make_structure_pair,
     offdiag_block,
     project_to_pattern,
     render_shape,
 )
 
-from helpers import brute_direct_sum_check, random_skew_pair, upper_stars
+from helpers import brute_direct_sum_check, masks_unmemoised, random_skew_pair, upper_stars
+from skewpencil import pattern as pattern_module
 
 
 def rot90cw(positions, rows):
@@ -213,6 +215,30 @@ def test_assemble_deterministic_and_symmetric():
         assert np.array_equal(mask, mask.T)
         assert not np.diag(mask).any()
     assert 2 * p1.params == int(p1.mask_a.sum()) + int(p1.mask_b.sum())
+
+
+def test_assemble_equals_the_unmemoised_renderer():
+    structures = enumerate_structures(10)
+    assert len(structures) == 1978
+    for st in structures:
+        pat = assemble(st)
+        mask_a, mask_b = masks_unmemoised(st)
+        assert pat.mask_a.tobytes() == mask_a.tobytes() and pat.mask_b.tobytes() == mask_b.tobytes(), st
+
+
+def test_assemble_renders_each_distinct_block_and_block_pair_once(monkeypatch):
+    rendered = []
+    for name in ("diag_block", "offdiag_block"):
+        render = getattr(pattern_module, name)
+        monkeypatch.setattr(pattern_module, name,
+                            lambda *blocks, _name=name, _render=render: rendered.append(_name) or _render(*blocks))
+    # 8 H_2(0) + 8 L_1: blocks H_2 and L_1, block pairs H_2 H_2, H_2 L_1 and L_1 L_1
+    st = CanonicalStructure((CanonicalBlock("H", 2, 0.0),) * 8 + (CanonicalBlock("L", 1),) * 8)
+    pat = assemble(st)
+    assert sorted(rendered) == ["diag_block"] * 2 + ["offdiag_block"] * 3
+    monkeypatch.undo()
+    mask_a, mask_b = masks_unmemoised(st)
+    assert np.array_equal(pat.mask_a, mask_a) and np.array_equal(pat.mask_b, mask_b)
 
 
 def test_pattern_accessors():

@@ -6,6 +6,7 @@ from skewpencil import (
     LAMBDA_TOL,
     CanonicalBlock,
     CanonicalStructure,
+    DecompositionReport,
     DirectSumError,
     SkewPair,
     StarPattern,
@@ -22,6 +23,9 @@ from skewpencil import (
     verify_pairwise,
 )
 
+import skewpencil
+from skewpencil import core as core_module
+from skewpencil import pattern as pattern_module
 from skewpencil import tangent as tangent_module
 from skewpencil.tangent import OffPatternSolver, _chart, _exact_tangent_columns
 
@@ -304,11 +308,43 @@ def test_pairwise_checks_each_distinct_substructure_once(monkeypatch):
         return verify_direct_sum(pair, pattern, backend)
 
     monkeypatch.setattr(tangent_module, "verify_direct_sum", counting)
+    # the substructures are built from per-block parts, not by the whole-structure builders
+    builders = []
+    for module in (skewpencil, core_module, pattern_module, tangent_module):
+        for name, build in (("make_structure_pair", make_structure_pair), ("assemble", assemble)):
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _b=build: builders.append(_n) or _b(*a),
+                                raising=False)
     reports = verify_pairwise(st)
     # H_2(0), L_1, and the pairs H_2 H_2, H_2 L_1, L_1 L_1
     assert sorted(calls) == [3, 4, 6, 7, 8]
+    assert builders == []
     monkeypatch.undo()
     assert reports == pairwise_reports_unmemoised(st)
+
+
+def test_pairwise_substructures_equal_the_assembled_ones(monkeypatch):
+    built = []
+
+    def recording(pair, pattern, backend="exact"):
+        built.append((pair, pattern))
+        return DecompositionReport(0, 0, 0, 0)
+
+    monkeypatch.setattr(tangent_module, "verify_direct_sum", recording)
+    rungs = [ladder_structure(name) for name in ("n10", "n21", "n35", "n45i", "n56")]
+    for st in enumerate_structures(8) + rungs:
+        built.clear()
+        verify_pairwise(st)
+        b, k = st.blocks, len(st.blocks)
+        index = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
+        keys = list(dict.fromkeys((b[i],) if i == j else (b[i], b[j]) for i, j in index))
+        assert len(built) == len(keys), st
+        for key, (pair, pattern) in zip(keys, built):
+            sub = CanonicalStructure(key)
+            ref_pair, ref_pattern = make_structure_pair(sub), assemble(sub)
+            assert pair.n == pattern.n == ref_pair.n == ref_pattern.n, key
+            assert pair._AB.dtype == ref_pair._AB.dtype and pair._AB.tobytes() == ref_pair._AB.tobytes(), key
+            assert pattern.mask_a.tobytes() == ref_pattern.mask_a.tobytes(), key
+            assert pattern.mask_b.tobytes() == ref_pattern.mask_b.tobytes(), key
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -322,6 +358,25 @@ def test_exact_tangent_columns_match_brute_oracle(n):
     pair = SkewPair(skew(), skew())
     T = brute_tangent_matrix(pair)
     # brute row k is the strictly-upper (i, j) of A, then of B; the columns key it (w*n + i)*n + j
+    iu, ju = np.triu_indices(n, 1)
+    key = np.concatenate([iu * n + ju, (n + iu) * n + ju])
+    expected = [{int(key[k]): (int(T[k, c].real), int(T[k, c].imag)) for k in np.flatnonzero(T[:, c])}
+                for c in range(n * n) if T[:, c].any()]
+    assert _exact_tangent_columns(pair) == expected
+
+
+def test_exact_tangent_columns_scale_by_one_common_denominator():
+    # entries in eighths, quarters and halves, each value repeated: every column
+    # is the brute oracle's times 8, the least common denominator
+    rng = np.random.default_rng(70)
+    n = 5
+
+    def skew():
+        M = np.triu(rng.integers(-2, 3, (n, n)) / 4 + 1j * rng.integers(-2, 3, (n, n)) / 8, 1)
+        return M - M.T
+
+    pair = SkewPair(skew(), skew() + (0.5 + 0.125j) * (np.eye(n, k=1) - np.eye(n, k=-1)))
+    T = 8 * brute_tangent_matrix(pair)
     iu, ju = np.triu_indices(n, 1)
     key = np.concatenate([iu * n + ju, (n + iu) * n + ju])
     expected = [{int(key[k]): (int(T[k, c].real), int(T[k, c].imag)) for k in np.flatnonzero(T[:, c])}
