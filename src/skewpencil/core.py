@@ -16,6 +16,7 @@ import cmath
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -298,8 +299,9 @@ def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=complex)
-    entries = np.stack((M.real, M.imag), -1).reshape(-1, 2).tolist()
+    # a C-contiguous complex array viewed as floats holds (re, im) of each entry in row order
+    M = np.ascontiguousarray(M, dtype=complex)
+    entries = M.view(float).reshape(-1, 2).tolist()
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "entries": entries}
 
 
@@ -345,7 +347,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError("entry count does not match rows*cols")
     try:
         # json gives int, float, bool, str, None, list or dict; only the first two are numbers
-        numbers = {type(x) for z in entries for x in z} <= {int, float}
+        numbers = set(map(type, chain.from_iterable(entries))) <= {int, float}
         flat = np.array(entries, dtype=float).reshape(rows * cols, 2)
     except OverflowError:
         raise ValueError("matrix entry is too large for a float") from None
@@ -393,5 +395,10 @@ def structure_from_json(obj: dict) -> CanonicalStructure:
 
 
 def dump_json(obj: dict) -> str:
-    """Deterministic JSON rendering used by the CLI."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON rendering used by the CLI.
+
+    CLI documents are trees of dicts, lists and numbers, so the encoder's
+    check for reference cycles is skipped; the bytes are those of
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)

@@ -3,9 +3,13 @@
 Rank decisions for the miniversality check are discontinuous, so the
 default verification backend avoids floating point entirely.  Matrices
 with Gaussian-rational entries are scaled to Gaussian integers (scaling
-does not change rank), complex columns are realified when an imaginary
-part is present (doubling the rank), and the rank is computed by sparse
-fraction-free elimination over the integers.
+does not change rank).  Columns with a single nonzero entry are peeled
+off first: each adds one to the rank and removes its coordinate from the
+other columns, which is the opening step of structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO '90).  On a canonical tangent
+most columns go this way.  The remainder is realified when an imaginary
+part is present (doubling the rank), and its rank is computed by sparse
+fraction-free elimination over the integers, once per rank call.
 """
 
 from __future__ import annotations
@@ -54,17 +58,57 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
 def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     """Rank over the complex field of Gaussian-integer columns.
 
-    Each column maps a coordinate to an (re, im) integer pair.  Real inputs
-    are ranked directly; otherwise each column v contributes the real
-    vectors v and i*v on doubled coordinates, and the real rank is twice
-    the complex rank.
+    Each column maps a coordinate to an (re, im) integer pair, a tuple or
+    a list; an entry is zero when both parts are 0.  The caller's columns
+    are read, never changed.
+
+    Peel: a unit column, one key k with a nonzero entry, spans e_k.  Let K
+    be the keys of the unit columns and V the span of all columns over
+    Q(i).  Then E_K = span{e_k : k in K} lies in V and has dimension |K|.
+    The projection that deletes the coordinates in K has kernel E_K on V,
+    so rank V = |K| + rank of the columns with the K coordinates deleted.
+    The unit columns delete to zero and are dropped, as is any column left
+    empty.  Only a column that lost a key can have become a unit column,
+    so each further round classifies just those, and it deletes its new
+    keys from the rest; the peel stops when a round finds no new key.  A
+    column whose other entries are explicit zeros is not peeled, which
+    leaves the rank as it is.  This holds over Q(i), so it comes before
+    realification.
+
+    Remainder: real inputs are ranked directly; otherwise each column v
+    contributes the real vectors v and i*v on doubled coordinates, and the
+    real rank is twice the complex rank.  :func:`sparse_int_rank` runs
+    exactly once per call, on an empty list when nothing remains.
     """
-    has_imag = any(im for col in columns for (_, im) in col.values())
+    peeled: set[int] = set()
+    rest: list[dict[int, tuple[int, int]]] = []
+    todo = columns
+    while True:
+        new: set[int] = set()
+        for col in todo:
+            if len(col) > 1:
+                rest.append(col)
+            else:
+                for k, (re, im) in col.items():
+                    if re or im:
+                        new.add(k)
+        if not new:
+            break
+        peeled |= new
+        # the columns holding a new key, rebuilt without every peeled key, are classified again
+        kept, todo = [], []
+        for col in rest:
+            if new.isdisjoint(col):
+                kept.append(col)
+            else:
+                todo.append({k: v for k, v in col.items() if k not in peeled})
+        rest = kept
+    has_imag = any(im for col in rest for (_, im) in col.values())
     if not has_imag:
-        rows = [{c: re for c, (re, _) in col.items()} for col in columns]
-        return sparse_int_rank(rows)
+        rows = [{c: re for c, (re, _) in col.items()} for col in rest]
+        return len(peeled) + sparse_int_rank(rows)
     rows = []
-    for col in columns:
+    for col in rest:
         r1: dict[int, int] = {}
         r2: dict[int, int] = {}
         for c, (re, im) in col.items():
@@ -81,7 +125,7 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     r = sparse_int_rank(rows)
     if r % 2:
         raise AssertionError("realified rank must be even")
-    return r // 2
+    return len(peeled) + r // 2
 
 
 def _gaussian_ints(values: list[complex]) -> dict[complex, tuple[int, int]]:

@@ -245,7 +245,8 @@ class OffPatternSolver:
         residual = np.linalg.norm(self._apply(W) + c)
         scale = max(1.0, np.linalg.norm(c))
         if not residual <= 1e-7 * scale:  # NaN fails too
-            raise DirectSumError(f"no pattern-form representative: residual {residual:.3e}")
+            raise DirectSumError(f"no pattern-form representative: relative residual "
+                                 f"{residual / scale:.3e} > cut-off 1e-07")
         return float(residual / scale)
 
     def project(self, C: SkewPair) -> np.ndarray:

@@ -8,10 +8,12 @@ correction are dense least-squares solves on the brute-force tangent
 matrix, the schedule constant is read off its dense pseudo-inverse, and
 the direct-sum intersection is rank_T + p - rank[T | D], with D one unit
 column per star; none of them share code with the package paths they
-check.  Two exceptions are references for reuse alone: the pairwise loop
-is ``verify_pairwise`` without its reuse of equal substructures, and the
-pattern renderer is ``assemble`` without its reuse of equal blocks and
-block pairs; both call the library's per-block builders.
+check.  Three exceptions are references for a shortcut alone: the
+pairwise loop is ``verify_pairwise`` without its reuse of equal
+substructures, and the pattern renderer is ``assemble`` without its reuse
+of equal blocks and block pairs; both call the library's per-block
+builders.  The exact column rank without its unit-column peel realifies
+every column and calls the library's integer elimination.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from skewpencil import (
     offdiag_block,
     verify_direct_sum,
 )
+from skewpencil.exact import sparse_int_rank
 
 
 def brute_tangent_matrix(pair: SkewPair) -> np.ndarray:
@@ -120,6 +123,18 @@ def dense_fraction_rank(M: list[list[Fraction]]) -> int:
         if prow == nrows:
             break
     return rank
+
+
+def unpeeled_columns_rank(columns) -> int:
+    """Complex rank of Gaussian-integer columns with nothing peeled: the integer rank
+    of the realified columns, v and i*v on doubled coordinates, halved."""
+    rows = []
+    for col in columns:
+        rows.append({2 * c + d: x for c, (re, im) in col.items() for d, x in enumerate((re, im))})
+        rows.append({2 * c + d: x for c, (re, im) in col.items() for d, x in enumerate((-im, re))})
+    r = sparse_int_rank(rows)
+    assert r % 2 == 0
+    return r // 2
 
 
 def star_column_rank(pair, stars_a, stars_b) -> int:

@@ -299,6 +299,19 @@ def test_reduce_overflow_exits_2_with_one_error_line(tmp_path, capsys):
                                 "the pair is too large for float arithmetic"]
 
 
+def test_reduce_unreachable_pattern_form_reports_the_relative_residual(tmp_path, capsys):
+    # at +-1e100 the correction solve leaves a residual of the size of the perturbation:
+    # relative to it about 1, far above the 1e-7 cut-off
+    _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
+    big = {"rows": 2, "cols": 2, "entries": [[0, 0], [1e100, 0], [-1e100, 0], [0, 0]]}
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps({"n": 2, "A": big, "B": big}))
+    code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["skewpencil: error: no pattern-form representative: "
+                                "relative residual 1.000e+00 > cut-off 1e-07"]
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -8,8 +8,10 @@ from skewpencil import (
     CanonicalBlock,
     CanonicalStructure,
     SkewPair,
+    assemble,
     congruence,
     direct_sum,
+    global_from_pairwise,
     make_F,
     make_G,
     make_block,
@@ -19,10 +21,14 @@ from skewpencil import (
     matrix_to_json,
     pair_from_json,
     pair_to_json,
+    reduce_pair,
     structure_from_json,
     structure_to_json,
+    verify_pairwise,
 )
-from skewpencil.core import SKEW_RTOL
+from skewpencil.core import SKEW_RTOL, dump_json
+
+from helpers import random_skew_pair
 
 
 def test_jordan_1x1():
@@ -342,6 +348,27 @@ def test_matrix_json_keeps_signed_zeros():
     assert json.dumps(out) == json.dumps(
         {"rows": 2, "cols": 2, "entries": [[float(z.real), float(z.imag)] for z in M.ravel()]})
     assert matrix_from_json(json.loads(json.dumps(out))).tobytes() == M.tobytes()
+
+
+def test_cli_documents_render_as_plain_sorted_json():
+    structure = CanonicalStructure((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 1, 1j),
+                                    CanonicalBlock("K", 1), CanonicalBlock("L", 1)))
+    base = make_structure_pair(structure)
+    perturbed = base + random_skew_pair(np.random.default_rng(7), base.n, scale=1e-3)
+    trace = reduce_pair(base, perturbed, assemble(structure))
+    pairwise = verify_pairwise(structure)
+    report = {"n": structure.dim, "global": global_from_pairwise(structure.dim, pairwise).to_json(),
+              "pairwise": [e.to_json() for e in pairwise], "all_ok": True}
+    for obj in (trace.to_json(), report):
+        assert dump_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # the float view gives the entries of a stacked (re, im) copy, for any memory layout
+    S = trace.S.copy()
+    S[0, 1] = complex(-0.0, -0.0)
+    for M in (S, S.T, S[::2, 1:], np.asfortranarray(S), S.real, S.imag.astype(np.float32)):
+        Z = np.asarray(M, dtype=complex)
+        entries = np.stack((Z.real, Z.imag), -1).reshape(-1, 2).tolist()
+        assert json.dumps(matrix_to_json(M)) == json.dumps({"rows": Z.shape[0], "cols": Z.shape[1],
+                                                            "entries": entries})
 
 
 @pytest.mark.parametrize("entry", [[True, 0], ["1", 0], [1, None], [1], [1, 2, 3], [[1], 2], 1, "ab", None])

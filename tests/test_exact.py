@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from skewpencil import CanonicalBlock, SkewPair, make_block
+from skewpencil import exact as exact_module
 from skewpencil.exact import gaussian_columns_rank, pair_to_gaussian_ints, sparse_int_rank
 
-from helpers import dense_fraction_rank, svd_rank
+from helpers import dense_fraction_rank, svd_rank, unpeeled_columns_rank
 
 
 def rows_from_dense(M):
@@ -96,6 +98,61 @@ def test_gaussian_columns_rank_vs_svd(data):
     expected = svd_rank(M)
     assert gaussian_columns_rank(cols) == expected
     assert gaussian_columns_rank(data.draw(st.permutations(cols))) == expected
+
+
+def draw_peel_columns(data, real):
+    """(m, columns) on keys 0..m-1, rich in what the unit-column peel handles.
+
+    Unit columns, some repeated on one key; a chain {k0}, {k0, k1},
+    {k1, k2}, ..., which peels one key per round; sparse columns with
+    explicit zero entries; and zero unit columns.  Entries are tuples or
+    lists, real when ``real`` is set.
+    """
+    m = data.draw(st.integers(1, 8))
+    key = st.integers(0, m - 1)
+    part = st.integers(-3, 3)
+    pair = st.tuples(part, st.just(0) if real else part)
+    entry = st.one_of(pair, pair.map(list))
+    nonzero = entry.filter(lambda v: v[0] or v[1])
+    zero = st.sampled_from([(0, 0), [0, 0]])
+    cols = []
+    for k in data.draw(st.lists(key, max_size=5)):
+        cols += [{k: data.draw(nonzero)} for _ in range(data.draw(st.integers(1, 2)))]
+    chain = data.draw(st.permutations(range(m)))[:data.draw(st.integers(0, m))]
+    cols += [{chain[0]: data.draw(nonzero)}] if chain else []
+    cols += [{a: data.draw(nonzero), b: data.draw(nonzero)} for a, b in zip(chain, chain[1:])]
+    cols += data.draw(st.lists(st.dictionaries(key, st.one_of(entry, zero), min_size=1, max_size=3),
+                               max_size=6))
+    cols += [{k: data.draw(zero)} for k in data.draw(st.lists(key, max_size=2))]
+    return m, data.draw(st.permutations(cols))
+
+
+@PROPERTY
+@given(st.data(), st.booleans())
+def test_peeled_rank_equals_the_unpeeled_reference(data, real):
+    m, cols = draw_peel_columns(data, real)
+    before = copy.deepcopy(cols)
+    rank = gaussian_columns_rank(cols)
+    assert cols == before  # the caller's columns and entries are left as they were
+    assert rank == unpeeled_columns_rank(cols)
+    if real:
+        M = [[Fraction(col.get(k, (0, 0))[0]) for col in cols] for k in range(m)]
+        assert rank == dense_fraction_rank(M)
+
+
+def test_peel_leaves_only_the_remainder_to_one_elimination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exact_module, "sparse_int_rank", lambda rows: calls.append(rows) or sparse_int_rank(rows))
+    # e0 peels; then {0, 1} is a unit column on 1, then {1, 2} one on 2; the zero
+    # unit column peels nothing, and {3, 4} remains, now real
+    chain = [{0: (2, 0)}, {0: (1, 0), 1: (0, 3)}, {1: [1, 1], 2: (5, 0)}, {3: (0, 0)},
+             {2: (1, 0), 3: (1, 0), 4: (-1, 0)}]
+    assert gaussian_columns_rank(chain) == 4
+    assert calls == [[{3: 1, 4: -1}]]
+    # everything peels: the elimination still runs once, on nothing
+    calls.clear()
+    assert gaussian_columns_rank([{0: (0, 1)}, {0: (1, 0), 1: (0, 1)}, {1: [0, 0]}]) == 2
+    assert calls == [[]]
 
 
 def test_pair_to_gaussian_ints_integer_pair():

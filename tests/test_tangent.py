@@ -36,6 +36,7 @@ from helpers import (
     random_skew_pair,
     star_column_rank,
     svd_rank,
+    unpeeled_columns_rank,
     upper_stars,
 )
 
@@ -539,3 +540,19 @@ def test_chart_memo_follows_content():
     assert again is chart
     assert _chart(b1, p1x) is not chart
     assert _chart(b1, p1) is not chart  # one slot: p1x replaced it
+
+
+def test_exact_verify_ranks_equal_the_unpeeled_reference(monkeypatch):
+    calls, original = [], tangent_module.gaussian_columns_rank
+
+    def recording(columns):
+        calls.append((columns, rank := original(columns)))
+        return rank
+
+    monkeypatch.setattr(tangent_module, "gaussian_columns_rank", recording)
+    for st in CORPUS_6:
+        verify_direct_sum(make_structure_pair(st), assemble(st))
+        verify_pairwise(st)
+    monkeypatch.undo()
+    assert len(calls) > 2 * len(CORPUS_6)
+    assert all(rank == unpeeled_columns_rank(cols) for cols, rank in calls)
