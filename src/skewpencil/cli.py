@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"skewpencil: error: {exc}", file=sys.stderr)
         return 2
 

@@ -399,6 +399,7 @@ def dump_json(obj: dict) -> str:
 
     CLI documents are trees of dicts, lists and numbers, so the encoder's
     check for reference cycles is skipped; the bytes are those of
-    ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.  A NaN or
+    infinite number is not JSON and raises ``ValueError``.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False, allow_nan=False)

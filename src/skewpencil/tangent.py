@@ -35,11 +35,12 @@ FLOAT_RANK_RTOL = 1e-9
 
 
 class DirectSumError(ValueError):
-    """Raised when an operation requires a direct-sum pattern and it fails."""
+    """Raised by the base chart when it reaches no pattern-form representative.
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    The message names what failed: a singular Gram piece (a, b) with its
+    sigma_min, sigma_max and size*eps cut-off, a relative residual above
+    its 1e-7 cut-off, or a correction that is not finite.
+    """
 
 
 def _rows(n: int, mask_a, mask_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,7 +76,7 @@ def tangent_map(pair: SkewPair) -> TangentMap:
     M = pair._AB
     T = np.zeros((w.size, n * n), dtype=complex)
     # at row (w, i, j) the image of E_qi is M_w[q, j] and that of E_qj is M_w[i, q];
-    # + 0.0 turns -0.0 into +0.0, so T and the solves built on it hold no negative zeros
+    # + 0.0 turns -0.0 into +0.0, so T holds no negative zeros
     T[rows, q + i[:, None]] = M[w, :, j] + 0.0
     T[rows, q + j[:, None]] = M[w, i, :] + 0.0
     return TangentMap(T)
@@ -165,7 +166,7 @@ class OffPatternSolver:
     blocks) share one factorisation.  A singular piece means that the
     tangent space and the star directions do not span the skew pairs, so
     some C has no pattern-form representative; it raises
-    :class:`DirectSumError`.  From G^-1, :meth:`project` and
+    :class:`DirectSumError`.  From G^-1, :meth:`_project` and
     :meth:`schedule_c` work at the base without iterating, and
     :meth:`solve` at a nearby pair P runs conjugate gradients on the Gram
     system at P, preconditioned with G^-1.
@@ -249,17 +250,13 @@ class OffPatternSolver:
                                  f"{residual / scale:.3e} > cut-off 1e-07")
         return float(residual / scale)
 
-    def project(self, C: SkewPair) -> np.ndarray:
-        """The minimum-norm X with C + X^T base + base X zero off the stars.
+    def _project(self, C: SkewPair) -> tuple[np.ndarray, np.ndarray]:
+        """(X, W): the minimum-norm X with C + X^T base + base X zero off the stars, and W = [A; B] X.
 
         X = T^H G^-1 (-c): G^-1 is exact at the base, so one preconditioner
         application and one adjoint replace the iteration.  The residual is
-        checked as in :meth:`solve`.
+        checked on W as in :meth:`solve`.
         """
-        return self._project(C)[0]
-
-    def _project(self, C: SkewPair) -> tuple[np.ndarray, np.ndarray]:
-        """(X, W) with X as in :meth:`project` and W = [A; B] X, the product its residual is checked on."""
         c = self._off(C)
         X = self._adjoint(self._AB_bar, self._precondition(-c))
         W = self._AB @ X
@@ -470,19 +467,15 @@ def project_to_pattern(
     Returns (D, S) with D = C + S^T pair0 + pair0 S supported on the stars;
     D is unique when the direct sum holds, S is the minimum-norm witness,
     computed by the base chart of (pair0, pattern).  ``tangent`` is
-    accepted and ignored.  Raises :class:`DirectSumError`, carrying the
-    float :class:`DecompositionReport` as ``report``, when the tangent
-    space and the stars do not span the skew pairs or no pattern-form
-    representative is reached.
+    accepted and ignored.  The chart's :class:`DirectSumError` passes
+    through unchanged when the tangent space and the stars do not span the
+    skew pairs or no pattern-form representative is reached; no refusal
+    forms the dense tangent.
     """
     n = pair0.n
     if C.n != n or pattern.n != n:
         raise ValueError("dimension mismatch")
-    try:
-        S, MS = _chart(pair0, pattern)._project(C)
-    except DirectSumError as exc:
-        exc.report = verify_direct_sum(pair0, pattern, backend="float")
-        raise
+    S, MS = _chart(pair0, pattern)._project(C)
     # S^T M + M S = M S - (M S)^T for skew M; MS stacks M S over M = A, B of pair0
     MS = MS.reshape(2, n, n)
     D = SkewPair._of(0.5 * (C._AB - C._AB.swapaxes(1, 2)) + (MS - MS.swapaxes(1, 2)))

@@ -299,6 +299,31 @@ def test_reduce_overflow_exits_2_with_one_error_line(tmp_path, capsys):
                                 "the pair is too large for float arithmetic"]
 
 
+def test_reduce_non_finite_document_exits_2(tmp_path, capsys):
+    # the entries are finite, but the initial norms overflow: Infinity is not JSON
+    _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
+    big = {"rows": 2, "cols": 2, "entries": [[0, 0], [1e200, 0], [-1e200, 0], [0, 0]]}
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps({"n": 2, "A": big, "B": big}))
+    code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath),
+                                  "--max-iter", "0"])
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("skewpencil: error: Out of range float values are not JSON compliant")
+
+
+def test_reduce_chart_refusal_exits_2_with_the_piece(tmp_path, capsys):
+    # H_2(0) + H_2(5e-3): the base chart's Gram piece of the two blocks is singular at its cut-off
+    st, spath = write_structure(tmp_path, (CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 5e-3)))
+    pert = random_skew_pair(np.random.default_rng(5), st.dim, scale=1e-4)
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps(pair_to_json(pert)))
+    code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)])
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("skewpencil: error: piece (0, 1)")
+
+
 def test_reduce_unreachable_pattern_form_reports_the_relative_residual(tmp_path, capsys):
     # at +-1e100 the correction solve leaves a residual of the size of the perturbation:
     # relative to it about 1, far above the 1e-7 cut-off

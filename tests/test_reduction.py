@@ -24,6 +24,7 @@ from skewpencil import (
     schedule_for,
     verify_direct_sum,
 )
+from skewpencil import tangent as tangent_module
 from skewpencil.tangent import OffPatternSolver, _components
 
 from helpers import dense_min_norm_correction, dense_pinv_schedule_m, random_skew_pair
@@ -304,11 +305,11 @@ def test_schedule_raises_without_direct_sum():
     # and both the schedule and the projection refuse instead of reading off a pinv
     _, base, _ = setup((CanonicalBlock("H", 1, 0.0),))
     empty = StarPattern(2, np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool))
-    with pytest.raises(DirectSumError, match=r"piece \(0, 0\)"):
+    with pytest.raises(DirectSumError, match=r"piece \(0, 0\)") as schedule_err:
         schedule_for(base, empty)
     with pytest.raises(DirectSumError, match=r"piece \(0, 0\)") as err:
         project_to_pattern(base, empty, random_skew_pair(np.random.default_rng(45), 2, scale=1.0))
-    assert err.value.report is not None and not err.value.report.direct_sum_ok
+    assert str(err.value) == str(schedule_err.value)
 
 
 def test_pair_off_norm_reads_the_masks():
@@ -337,6 +338,37 @@ def test_chart_refusal_states_the_singular_value_test():
     assert size == pytest.approx(round(size), rel=1e-3) and round(size) > 1
     _, base, pat = setup((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 1e-2)))
     OffPatternSolver(base, pat)
+
+
+@pytest.mark.parametrize("blocks, empty, piece", [
+    # 6 H_2(0) + 6 L_1 (n = 42) with no stars: a dense float tangent here takes seconds
+    ((CanonicalBlock("H", 2, 0.0),) * 6 + (CanonicalBlock("L", 1),) * 6, True, r"piece \(0, 0\)"),
+    ((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 5e-3)), False, r"piece \(0, 1\)"),
+], ids=["6H2+6L1-no-stars", "H2(0)+H2(5e-3)"])
+def test_chart_refusal_is_the_only_verdict(monkeypatch, blocks, empty, piece):
+    # the base chart alone refuses and explains: no consumer forms the dense tangent,
+    # and projection, schedule, correction and reduction raise the same message
+    def dense(*_):
+        raise AssertionError("a refusal formed the dense tangent")
+
+    monkeypatch.setattr(tangent_module, "tangent_map", dense)
+    monkeypatch.setattr(tangent_module, "float_rank", dense)
+    _, base, pat = setup(blocks)
+    n = base.n
+    if empty:
+        pat = StarPattern(n, np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool))
+    rng = np.random.default_rng(46)
+    C = random_skew_pair(rng, n, scale=1.0)
+    perturbed = perturb(base, random_skew_pair(rng, n, scale=1e-4))
+    start = time.perf_counter()
+    with pytest.raises(DirectSumError, match=piece) as err:
+        project_to_pattern(base, pat, C)
+    assert time.perf_counter() - start < 0.5
+    for call in (lambda: schedule_for(base, pat), lambda: correction_step(base, perturbed, pat),
+                 lambda: reduce_pair(base, perturbed, pat)):
+        with pytest.raises(DirectSumError) as other:
+            call()
+        assert str(other.value) == str(err.value)
 
 
 def test_schedule_requires_m_at_least_3():
