@@ -48,19 +48,22 @@ def cmd_verify(args) -> int:
     structure = structure_from_json(_load_json(args.structure))
     pairwise = verify_pairwise(structure, backend=args.backend)
     glob = global_from_pairwise(structure.dim, pairwise)
-    ok = glob.direct_sum_ok and all(e.report.direct_sum_ok for e in pairwise)
-    print(dump_json({
-        "n": structure.dim,
-        "global": glob.to_json(),
-        "pairwise": [e.to_json() for e in pairwise],
-        "all_ok": ok,
-    }))
-    for e in pairwise:
-        if not e.report.direct_sum_ok:
+    # verify_pairwise shares one report object among the rows of equal block pairs,
+    # so each distinct report is judged and rendered once and its text reused
+    reports = {id(e.report): e.report for e in pairwise}
+    ok = glob.direct_sum_ok and all(r.direct_sum_ok for r in reports.values())
+    text = {key: dump_json(r.to_json()) for key, r in reports.items()}
+    rows = ",".join([f'{{"i":{e.i},"j":{e.j},"report":{text[id(e.report)]}}}' for e in pairwise])
+    # "pairwise" sorts after the other keys, so it closes the document as dump_json would
+    head = dump_json({"n": structure.dim, "global": glob.to_json(), "all_ok": ok})
+    print(f'{head[:-1]},"pairwise":[{rows}]}}')
+    if not ok:
+        for e in pairwise:
             r = e.report
-            print(f"skewpencil: verify: block pair ({e.i}, {e.j}) fails: rank_T={r.rank_t} "
-                  f"params_p={r.params_p} ambient={r.ambient} intersection_dim={r.intersection_dim}",
-                  file=sys.stderr)
+            if not r.direct_sum_ok:
+                print(f"skewpencil: verify: block pair ({e.i}, {e.j}) fails: rank_T={r.rank_t} "
+                      f"params_p={r.params_p} ambient={r.ambient} intersection_dim={r.intersection_dim}",
+                      file=sys.stderr)
     return 0 if ok else 1
 
 

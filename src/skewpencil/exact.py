@@ -55,30 +55,22 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     return len(basis)
 
 
-def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
-    """Rank over the complex field of Gaussian-integer columns.
+def _peel(columns: list[dict[int, tuple[int, int]]]) -> tuple[set[int], list[dict[int, tuple[int, int]]]]:
+    """(K, rest): the keys of the unit columns, peeled round by round, and what remains.
 
-    Each column maps a coordinate to an (re, im) integer pair, a tuple or
-    a list; an entry is zero when both parts are 0.  The caller's columns
-    are read, never changed.
-
-    Peel: a unit column, one key k with a nonzero entry, spans e_k.  Let K
-    be the keys of the unit columns and V the span of all columns over
-    Q(i).  Then E_K = span{e_k : k in K} lies in V and has dimension |K|.
-    The projection that deletes the coordinates in K has kernel E_K on V,
-    so rank V = |K| + rank of the columns with the K coordinates deleted.
+    A unit column, one key k with a nonzero entry, spans e_k.  Let K be
+    the keys of the unit columns and V the span of all columns over Q(i).
+    Then E_K = span{e_k : k in K} lies in V and has dimension |K|.  The
+    projection that deletes the coordinates in K has kernel E_K on V, so
+    rank V = |K| + rank of the columns with the K coordinates deleted.
     The unit columns delete to zero and are dropped, as is any column left
     empty.  Only a column that lost a key can have become a unit column,
     so each further round classifies just those, and it deletes its new
     keys from the rest; the peel stops when a round finds no new key.  A
     column whose other entries are explicit zeros is not peeled, which
-    leaves the rank as it is.  This holds over Q(i), so it comes before
-    realification.
-
-    Remainder: real inputs are ranked directly; otherwise each column v
-    contributes the real vectors v and i*v on doubled coordinates, and the
-    real rank is twice the complex rank.  :func:`sparse_int_rank` runs
-    exactly once per call, on an empty list when nothing remains.
+    leaves the rank as it is.  No column of ``rest`` holds a key of K, and
+    the caller's columns are read, never changed: a column that loses a
+    key is a new dict.
     """
     peeled: set[int] = set()
     rest: list[dict[int, tuple[int, int]]] = []
@@ -93,7 +85,7 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
                     if re or im:
                         new.add(k)
         if not new:
-            break
+            return peeled, rest
         peeled |= new
         # the columns holding a new key, rebuilt without every peeled key, are classified again
         kept, todo = [], []
@@ -103,6 +95,24 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
             else:
                 todo.append({k: v for k, v in col.items() if k not in peeled})
         rest = kept
+
+
+def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
+    """Rank over the complex field of Gaussian-integer columns.
+
+    Each column maps a coordinate to an (re, im) integer pair, a tuple or
+    a list; an entry is zero when both parts are 0.  The caller's columns
+    are read, never changed.
+
+    The unit columns are peeled first (:func:`_peel`), which adds their
+    keys to the rank.  This holds over Q(i), so it comes before
+    realification.  Remainder: real inputs are ranked directly; otherwise
+    each column v contributes the real vectors v and i*v on doubled
+    coordinates, and the real rank is twice the complex rank.
+    :func:`sparse_int_rank` runs exactly once per call, on an empty list
+    when nothing remains.
+    """
+    peeled, rest = _peel(columns)
     has_imag = any(im for col in rest for (_, im) in col.values())
     if not has_imag:
         rows = [{c: re for c, (re, _) in col.items()} for col in rest]

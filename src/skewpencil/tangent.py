@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LAMBDA_TOL, CanonicalStructure, SkewPair, _block_matrices, _on_diagonal
-from .exact import _gaussian_ints, gaussian_columns_rank
+from .core import LAMBDA_TOL, CanonicalBlock, CanonicalStructure, SkewPair, _block_matrices, _on_diagonal
+from .exact import _gaussian_ints, _peel, gaussian_columns_rank
 from .pattern import StarPattern, _diagonal_masks, _pattern
 
 #: singular values below this fraction of the largest are treated as zero
@@ -363,18 +363,26 @@ def verify_direct_sum(pair: SkewPair, pattern: StarPattern, backend: str = "exac
     intersection of T(pair) with the star span is rank T - rank T_off.
     ``backend="exact"`` ranks over the Gaussian rationals and is the
     decision procedure; ``"float"`` uses SVD with a relative threshold.
+
+    The exact backend peels the unit columns of T once
+    (:func:`~skewpencil.exact._peel`) and serves both ranks from it.  The
+    peel gives rank T = |K| + rank R, with E_K in span T and R the other
+    columns with the K rows deleted.  Deleting the star rows S maps span T
+    onto span T_off and E_K onto E_{K - S}, so the same lemma gives rank
+    T_off = |K - S| + rank of R with the S rows deleted as well.  Each
+    rank call therefore sees only the remainder R.
     """
     if pattern.n != pair.n:
         raise ValueError("pattern dimension does not match pair")
     n = pair.n
     if backend == "exact":
-        cols = _exact_tangent_columns(pair)
-        rank_t = gaussian_columns_rank(cols)
+        peeled, rest = _peel(_exact_tangent_columns(pair))
+        rank_t = len(peeled) + gaussian_columns_rank(rest)
         # the star rows, by their flat index in the (2, n, n) masks, which keys the exact
         # columns; the mirrors below the diagonal key no tangent row and drop nothing
         stars = set(np.flatnonzero(np.array((pattern.mask_a, pattern.mask_b))).tolist())
-        rank_off = gaussian_columns_rank([col if stars.isdisjoint(col) else
-                                          {k: v for k, v in col.items() if k not in stars} for col in cols])
+        rank_off = len(peeled - stars) + gaussian_columns_rank(
+            [col if stars.isdisjoint(col) else {k: v for k, v in col.items() if k not in stars} for col in rest])
     elif backend == "float":
         T = tangent_map(pair).matrix
         rank_t = float_rank(T)
@@ -408,8 +416,10 @@ def verify_pairwise(
     substructure passes its own direct-sum check.  Reports come for (i, i)
     in block order, then for each i < j.  A substructure is determined by
     its blocks, so each distinct one is checked once, by
-    :func:`verify_direct_sum`, and its report is reused at every (i, j)
-    with the same blocks.  Its pair and pattern are assembled from parts
+    :func:`verify_direct_sum`, before the rows are listed, and its report
+    object is shared by every (i, j) with the same blocks.  The distinct
+    blocks are numbered once per call and the checks are keyed on those
+    numbers.  Each check's pair and pattern are assembled from parts
     built once per call: each distinct block's matrices and diagonal
     masks, and the off-diagonal masks of each distinct block pair.  They
     equal ``make_structure_pair`` and ``assemble`` of the substructure,
@@ -419,18 +429,21 @@ def verify_pairwise(
     :class:`~skewpencil.core.CanonicalStructure`).
     """
     blocks = structure.blocks
-    k = len(blocks)
-    index = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
-    matrices = {b: _block_matrices(b) for b in dict.fromkeys(blocks)}
-    diag = _diagonal_masks(blocks)
-    memo: dict[tuple, DecompositionReport] = {}
-    out = []
-    for i, j in index:
-        key = (blocks[i],) if i == j else (blocks[i], blocks[j])
-        if key not in memo:
-            pair = SkewPair._of(_on_diagonal([matrices[b] for b in key], complex))
-            memo[key] = verify_direct_sum(pair, _pattern(key, diag), backend)
-        out.append(PairwiseReport(i, j, memo[key]))
+    # each distinct block gets a small integer id, so that the memo hashes ints
+    ids: dict[CanonicalBlock, int] = {}
+    bid = [ids.setdefault(b, len(ids)) for b in blocks]
+    distinct = list(ids)
+    matrices = [_block_matrices(b) for b in distinct]
+    diag = _diagonal_masks(distinct)
+    keys = [(d,) for d in range(len(distinct))]
+    keys += dict.fromkeys((a, b) for i, a in enumerate(bid) for b in bid[i + 1:])
+    memo: dict[tuple[int, ...], DecompositionReport] = {}
+    for key in keys:
+        pair = SkewPair._of(_on_diagonal([matrices[d] for d in key], complex))
+        memo[key] = verify_direct_sum(pair, _pattern(tuple(distinct[d] for d in key), diag), backend)
+    out = [PairwiseReport(i, i, memo[(a,)]) for i, a in enumerate(bid)]
+    for i, a in enumerate(bid):
+        out += [PairwiseReport(i, j, memo[a, b]) for j, b in enumerate(bid[i + 1:], i + 1)]
     return out
 
 
@@ -445,13 +458,17 @@ def global_from_pairwise(n: int, pairwise: list[PairwiseReport]) -> Decompositio
     report (i, j) counts pieces i, j and (i, j).  Each of rank_T, p, rank
     T_off and hence the intersection rank_T - rank T_off is therefore
     sum_i r_ii + sum_{i<j} (R_ij - r_ii - r_jj): with k blocks, weight 1
-    on the two-block reports and 2 - k on the one-block reports.
+    on the two-block reports and 2 - k on the one-block reports.  Rows
+    that share one report object add up their weights first, so each
+    distinct report is read once.
     """
     k = sum(e.i == e.j for e in pairwise)
-    weights = [2 - k if e.i == e.j else 1 for e in pairwise]
+    tally: dict[int, list] = {}
+    for e in pairwise:
+        tally.setdefault(id(e.report), [e.report, 0])[1] += 2 - k if e.i == e.j else 1
 
     def total(field: str) -> int:
-        return sum(w * getattr(e.report, field) for w, e in zip(weights, pairwise))
+        return sum(w * getattr(r, field) for r, w in tally.values())
 
     return DecompositionReport(total("rank_t"), total("params_p"), n * (n - 1), total("intersection_dim"))
 

@@ -8,11 +8,14 @@ from skewpencil import (
     CanonicalBlock,
     CanonicalStructure,
     enumerate_structures,
+    global_from_pairwise,
     make_structure_pair,
     pair_to_json,
+    verify_pairwise,
 )
 from skewpencil import pattern as pattern_module
 from skewpencil.cli import main
+from skewpencil.core import dump_json
 
 from helpers import count_structures_dp, random_skew_pair
 
@@ -64,7 +67,7 @@ def test_verify_command_ok(tmp_path, capsys):
 
 def test_verify_exit_1_on_failure(tmp_path, capsys, monkeypatch):
     # a pattern builder that drops the star of every H diagonal block leaves
-    # the H_1 block one parameter short, alone and paired with L_0
+    # the H_1 block one parameter short, alone and paired with any block
     diag_block = pattern_module.diag_block
 
     def diag_block_without_h_star(block):
@@ -72,18 +75,28 @@ def test_verify_exit_1_on_failure(tmp_path, capsys, monkeypatch):
         return mask_a, mask_b & (block.kind != "H")
 
     monkeypatch.setattr(pattern_module, "diag_block", diag_block_without_h_star)
-    _, path = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 0)))
-    code, out, err = run(capsys, ["verify", str(path)])
-    assert code == 1
-    obj = json.loads(out)
-    assert not obj["all_ok"]
-    assert obj["global"]["rank_T"] + obj["global"]["params_p"] < obj["global"]["ambient"]
-    failing = [(e["i"], e["j"]) for e in obj["pairwise"] if not e["report"]["direct_sum_ok"]]
-    assert failing == [(0, 0), (0, 1)]
-    lines = err.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("skewpencil: verify: block pair (0, 0) ")
-    assert lines[1].startswith("skewpencil: verify: block pair (0, 1) ")
+    H1, L0 = CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 0)
+    # with a repeated failing block, rows that share one report are each listed and named
+    for blocks, failing in (((H1, L0), [(0, 0), (0, 1)]),
+                            ((H1, H1, L0), [(0, 0), (1, 1), (0, 1), (0, 2), (1, 2)])):
+        structure, path = write_structure(tmp_path, blocks)
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert code == 1
+        obj = json.loads(out)
+        assert not obj["all_ok"]
+        assert obj["global"]["rank_T"] + obj["global"]["params_p"] < obj["global"]["ambient"]
+        rows = {(e["i"], e["j"]): e["report"] for e in obj["pairwise"]}
+        assert [ij for ij, r in rows.items() if not r["direct_sum_ok"]] == failing
+        # the document is the one built row by row from the library reports
+        pairwise = verify_pairwise(structure)
+        glob = global_from_pairwise(structure.dim, pairwise)
+        assert out == dump_json({"n": structure.dim, "global": glob.to_json(), "all_ok": False,
+                                 "pairwise": [e.to_json() for e in pairwise]}) + "\n"
+        # one stderr line per failing row, in the order of the rows
+        assert err.splitlines() == [
+            f"skewpencil: verify: block pair ({i}, {j}) fails: rank_T={rows[i, j]['rank_T']} "
+            f"params_p={rows[i, j]['params_p']} ambient={rows[i, j]['ambient']} "
+            f"intersection_dim={rows[i, j]['intersection_dim']}" for i, j in failing]
 
 
 def test_verify_close_eigenvalues_exit_0(tmp_path, capsys):

@@ -26,6 +26,7 @@ from skewpencil import (
     structure_to_json,
     verify_pairwise,
 )
+from skewpencil.cli import main
 from skewpencil.core import SKEW_RTOL, dump_json
 
 from helpers import random_skew_pair
@@ -350,7 +351,7 @@ def test_matrix_json_keeps_signed_zeros():
     assert matrix_from_json(json.loads(json.dumps(out))).tobytes() == M.tobytes()
 
 
-def test_cli_documents_render_as_plain_sorted_json():
+def test_cli_documents_render_as_plain_sorted_json(tmp_path, capsys):
     structure = CanonicalStructure((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 1, 1j),
                                     CanonicalBlock("K", 1), CanonicalBlock("L", 1)))
     base = make_structure_pair(structure)
@@ -361,6 +362,20 @@ def test_cli_documents_render_as_plain_sorted_json():
               "pairwise": [e.to_json() for e in pairwise], "all_ok": True}
     for obj in (trace.to_json(), report):
         assert dump_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # verify prints, with either backend, the document built row by row from the library reports;
+    # 8 H_2(0) + 8 L_1 repeats its block pairs, 2 H_1(i) + H_2(0) + 2 L_1 also realifies
+    for blocks in ((CanonicalBlock("H", 2, 0.0),) * 8 + (CanonicalBlock("L", 1),) * 8,
+                   (CanonicalBlock("H", 1, 1j),) * 2 + (CanonicalBlock("H", 2, 0.0),) + (CanonicalBlock("L", 1),) * 2):
+        structure = CanonicalStructure(blocks)
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(structure_to_json(structure)))
+        for backend in ("exact", "float"):
+            pairwise = verify_pairwise(structure, backend=backend)
+            glob = global_from_pairwise(structure.dim, pairwise)
+            report = {"n": structure.dim, "global": glob.to_json(), "pairwise": [e.to_json() for e in pairwise],
+                      "all_ok": glob.direct_sum_ok and all(e.report.direct_sum_ok for e in pairwise)}
+            assert main(["verify", str(path), "--backend", backend]) == 0
+            assert capsys.readouterr() == (dump_json(report) + "\n", "")
     # the float view gives the entries of a stacked (re, im) copy, for any memory layout
     S = trace.S.copy()
     S[0, 1] = complex(-0.0, -0.0)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from skewpencil import CanonicalBlock, SkewPair, make_block
 from skewpencil import exact as exact_module
-from skewpencil.exact import gaussian_columns_rank, pair_to_gaussian_ints, sparse_int_rank
+from skewpencil.exact import _peel, gaussian_columns_rank, pair_to_gaussian_ints, sparse_int_rank
 
 from helpers import dense_fraction_rank, svd_rank, unpeeled_columns_rank
 
@@ -127,10 +127,23 @@ def draw_peel_columns(data, real):
     return m, data.draw(st.permutations(cols))
 
 
+def without(keys, cols):
+    return [{k: v for k, v in col.items() if k not in keys} for col in cols]
+
+
 @PROPERTY
 @given(st.data(), st.booleans())
 def test_peeled_rank_equals_the_unpeeled_reference(data, real):
     m, cols = draw_peel_columns(data, real)
+    # star keys S, with a unit column on a star key and, when there is room, a column
+    # that becomes a unit column only once its star key is deleted
+    stars = data.draw(st.sets(st.integers(0, m - 1)))
+    nonzero = st.tuples(st.integers(1, 3), st.just(0) if real else st.integers(-3, 3))
+    if stars:
+        cols = cols + [{min(stars): data.draw(nonzero)}]
+        free = sorted(set(range(m)) - stars)
+        if len(stars) > 1 and free:
+            cols.append({max(stars): data.draw(nonzero), free[0]: data.draw(nonzero)})
     before = copy.deepcopy(cols)
     rank = gaussian_columns_rank(cols)
     assert cols == before  # the caller's columns and entries are left as they were
@@ -138,6 +151,14 @@ def test_peeled_rank_equals_the_unpeeled_reference(data, real):
     if real:
         M = [[Fraction(col.get(k, (0, 0))[0]) for col in cols] for k in range(m)]
         assert rank == dense_fraction_rank(M)
+    # one peel serves the rank of the columns and that of the columns without S
+    peeled, rest = _peel(cols)
+    assert cols == before
+    assert all(peeled.isdisjoint(col) for col in rest)
+    assert len(peeled) + gaussian_columns_rank(rest) == rank
+    assert len(peeled - stars) + gaussian_columns_rank(without(stars, rest)) == \
+        unpeeled_columns_rank(without(stars, cols))
+    assert cols == before
 
 
 def test_peel_leaves_only_the_remainder_to_one_elimination(monkeypatch):
