@@ -3,13 +3,14 @@
 Rank decisions for the miniversality check are discontinuous, so the
 default verification backend avoids floating point entirely.  Matrices
 with Gaussian-rational entries are scaled to Gaussian integers (scaling
-does not change rank).  Columns with a single nonzero entry are peeled
-off first: each adds one to the rank and removes its coordinate from the
-other columns, which is the opening step of structured Gaussian
+does not change rank).  :func:`_peel` takes off the columns with a single
+nonzero entry: each adds one to the rank and removes its coordinate from
+the other columns, which is the opening step of structured Gaussian
 elimination (LaMacchia and Odlyzko, CRYPTO '90).  On a canonical tangent
-most columns go this way.  The remainder is realified when an imaginary
-part is present (doubling the rank), and its rank is computed by sparse
-fraction-free elimination over the integers, once per rank call.
+most columns go this way, and the direct-sum check peels once for both of
+its ranks.  :func:`gaussian_columns_rank` ranks the columns it is given:
+it realifies them when an imaginary part is present (doubling the rank)
+and runs one sparse fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
@@ -102,23 +103,17 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
 
     Each column maps a coordinate to an (re, im) integer pair, a tuple or
     a list; an entry is zero when both parts are 0.  The caller's columns
-    are read, never changed.
-
-    The unit columns are peeled first (:func:`_peel`), which adds their
-    keys to the rank.  This holds over Q(i), so it comes before
-    realification.  Remainder: real inputs are ranked directly; otherwise
-    each column v contributes the real vectors v and i*v on doubled
-    coordinates, and the real rank is twice the complex rank.
-    :func:`sparse_int_rank` runs exactly once per call, on an empty list
-    when nothing remains.
+    are read, never changed, and ranked as given: no peel runs here.  Real
+    inputs are ranked directly; otherwise each column v contributes the
+    real vectors v and i*v on doubled coordinates, and the real rank is
+    twice the complex rank.  :func:`sparse_int_rank` runs exactly once per
+    call.
     """
-    peeled, rest = _peel(columns)
-    has_imag = any(im for col in rest for (_, im) in col.values())
+    has_imag = any(im for col in columns for (_, im) in col.values())
     if not has_imag:
-        rows = [{c: re for c, (re, _) in col.items()} for col in rest]
-        return len(peeled) + sparse_int_rank(rows)
+        return sparse_int_rank([{c: re for c, (re, _) in col.items()} for col in columns])
     rows = []
-    for col in rest:
+    for col in columns:
         r1: dict[int, int] = {}
         r2: dict[int, int] = {}
         for c, (re, im) in col.items():
@@ -135,7 +130,7 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     r = sparse_int_rank(rows)
     if r % 2:
         raise AssertionError("realified rank must be even")
-    return len(peeled) + r // 2
+    return r // 2
 
 
 def _gaussian_ints(values: list[complex]) -> dict[complex, tuple[int, int]]:

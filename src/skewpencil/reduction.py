@@ -65,16 +65,16 @@ class IterationSchedule:
             e = 2 * e + 1
         return e
 
-    def verify_exact(self, count: int = 50) -> bool:
-        """Exact rational check of the schedule bounds for the first terms.
+    def verify_exact(self) -> bool:
+        """Exact rational check of the schedule bounds for the first 50 terms.
 
         eps_i is an exact power of m, so the eps bound is an integer
-        exponent comparison.  delta_count and sum(eps) are sums of exact
+        exponent comparison.  delta_50 and sum(eps) are sums of exact
         powers; terms smaller than m**-cap, cap = 200, are replaced by the
         rigorous per-term upper bound m**-(cap+1), keeping all comparisons
         exact while denominators stay of size m**cap.
         """
-        m, cap = self.m, 200
+        m, cap, count = self.m, 200, 50
         exps = [self.epsilon_exponent(i) for i in range(1, count + 1)]
         if any(e > -2 * i for i, e in enumerate(exps, start=1)):
             return False
@@ -93,17 +93,17 @@ class IterationSchedule:
         return power_sum(exps) < 1
 
 
-def correction_step(base: SkewPair, current: SkewPair, pattern: StarPattern) -> np.ndarray:
-    """One linearised correction X.
+def correction_step(base: SkewPair, current: SkewPair, pattern: StarPattern) -> tuple[np.ndarray, float, int]:
+    """One Newton step of :func:`reduce_pair`: (X, solve_residual, sweeps).
 
     Solves (minimum-norm) for X with the off-pattern part of
     (M, R) + X^T P + P X equal to zero, where (M, R) = current - base and
     P = current, the pair being reduced: one solve of the base chart of
-    (base, pattern).
+    (base, pattern), with the residual and CG sweep count of IterationRecord.
     Raises :class:`DirectSumError` when the system is inconsistent, which
     signals a failing direct sum or a perturbation outside the chart.
     """
-    return _chart(base, pattern).solve(current, current - base)[0]
+    return _chart(base, pattern).solve(current, current - base)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def reduce_pair(
         initial_full = delta.norm()
         records: list[IterationRecord] = []
         while off > tol and len(records) < max_iter:
-            X, solve_residual, sweeps = _chart(base, pattern).solve(P, delta)
+            X, solve_residual, sweeps = correction_step(base, P, pattern)
             step = np.eye(n, dtype=complex) + X
             P = congruence(P, step)
             S = S @ step

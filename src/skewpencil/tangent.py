@@ -369,8 +369,9 @@ def verify_direct_sum(pair: SkewPair, pattern: StarPattern, backend: str = "exac
     peel gives rank T = |K| + rank R, with E_K in span T and R the other
     columns with the K rows deleted.  Deleting the star rows S maps span T
     onto span T_off and E_K onto E_{K - S}, so the same lemma gives rank
-    T_off = |K - S| + rank of R with the S rows deleted as well.  Each
-    rank call therefore sees only the remainder R.
+    T_off = |K - S| + rank of R with the S rows deleted as well.  This is
+    the only peel: :func:`~skewpencil.exact.gaussian_columns_rank` ranks
+    R and R without S as they are.
     """
     if pattern.n != pair.n:
         raise ValueError("pattern dimension does not match pair")

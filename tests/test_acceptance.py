@@ -222,7 +222,7 @@ def test_criterion_6_quadratic_decay(reduction_runs):
 
 def test_criterion_7_schedule_lemma():
     """Exact rational schedule bounds for m = 3..20, first 50 terms."""
-    bad = [m for m in range(3, 21) if not IterationSchedule(m).verify_exact(count=50)]
+    bad = [m for m in range(3, 21) if not IterationSchedule(m).verify_exact()]
     ok = not bad
     report(7, "schedule bounds", ok, f"m in 3..20, failing: {bad or 'none'}")
     assert ok

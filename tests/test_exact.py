@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from skewpencil import CanonicalBlock, SkewPair, make_block
+from skewpencil import (CanonicalBlock, CanonicalStructure, SkewPair, assemble, make_block, make_structure_pair,
+                        verify_direct_sum)
 from skewpencil import exact as exact_module
+from skewpencil import tangent as tangent_module
 from skewpencil.exact import _peel, gaussian_columns_rank, pair_to_gaussian_ints, sparse_int_rank
 
 from helpers import dense_fraction_rank, svd_rank, unpeeled_columns_rank
@@ -161,19 +163,48 @@ def test_peeled_rank_equals_the_unpeeled_reference(data, real):
     assert cols == before
 
 
-def test_peel_leaves_only_the_remainder_to_one_elimination(monkeypatch):
+def test_gaussian_columns_rank_gives_every_row_to_one_elimination(monkeypatch):
     calls = []
     monkeypatch.setattr(exact_module, "sparse_int_rank", lambda rows: calls.append(rows) or sparse_int_rank(rows))
-    # e0 peels; then {0, 1} is a unit column on 1, then {1, 2} one on 2; the zero
-    # unit column peels nothing, and {3, 4} remains, now real
+    # nothing is peeled: an imaginary part realifies each column v into the rows v and i*v,
+    # an entry at key c going to keys 2c and 2c + 1; the zero column {3: (0, 0)} gives none
     chain = [{0: (2, 0)}, {0: (1, 0), 1: (0, 3)}, {1: [1, 1], 2: (5, 0)}, {3: (0, 0)},
              {2: (1, 0), 3: (1, 0), 4: (-1, 0)}]
     assert gaussian_columns_rank(chain) == 4
-    assert calls == [[{3: 1, 4: -1}]]
-    # everything peels: the elimination still runs once, on nothing
+    assert calls == [[{0: 2}, {1: 2}, {0: 1, 3: 3}, {1: 1, 2: -3}, {2: 1, 3: 1, 4: 5},
+                      {3: 1, 2: -1, 5: 5}, {4: 1, 6: 1, 8: -1}, {5: 1, 7: 1, 9: -1}]]
     calls.clear()
     assert gaussian_columns_rank([{0: (0, 1)}, {0: (1, 0), 1: (0, 1)}, {1: [0, 0]}]) == 2
-    assert calls == [[]]
+    assert calls == [[{1: 1}, {0: -1}, {0: 1, 3: 1}, {1: 1, 2: -1}]]
+
+
+def test_the_direct_sum_check_alone_peels(monkeypatch):
+    # exact verify_direct_sum peels once per check, and no row that reaches the
+    # elimination holds a peeled key (a realified key c stands for c // 2)
+    peels, realified, rows = [], [], []
+
+    def peel(columns):
+        peels.append(out := _peel(columns))
+        return out
+
+    def rank(columns):
+        realified.append(any(im for col in columns for (_, im) in col.values()))
+        return gaussian_columns_rank(columns)
+
+    monkeypatch.setattr(exact_module, "_peel", peel)
+    monkeypatch.setattr(tangent_module, "_peel", peel)
+    monkeypatch.setattr(tangent_module, "gaussian_columns_rank", rank)
+    monkeypatch.setattr(exact_module, "sparse_int_rank", lambda r: rows.append(r) or sparse_int_rank(r))
+    structures = [(CanonicalBlock("H", 2, 1j), CanonicalBlock("K", 2), CanonicalBlock("L", 1)),
+                  (CanonicalBlock("H", 1, 1j), CanonicalBlock("H", 1, 1j), CanonicalBlock("L", 1))]
+    for k, blocks in enumerate(structures, start=1):
+        st = CanonicalStructure(blocks)
+        assert verify_direct_sum(make_structure_pair(st), assemble(st)).direct_sum_ok
+        assert len(peels) == k and len(realified) == len(rows) == 2 * k
+    assert any(realified)
+    for (peeled, _), real, rank_rows in zip([p for p in peels for _ in range(2)], realified, rows):
+        assert peeled
+        assert not any((c // 2 if real else c) in peeled for row in rank_rows for c in row)
 
 
 def test_pair_to_gaussian_ints_integer_pair():

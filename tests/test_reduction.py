@@ -24,6 +24,7 @@ from skewpencil import (
     schedule_for,
     verify_direct_sum,
 )
+from skewpencil import reduction as reduction_module
 from skewpencil import tangent as tangent_module
 from skewpencil.tangent import OffPatternSolver, _components
 
@@ -42,7 +43,7 @@ def perturb(base, pert):
 
 def test_correction_at_base_is_zero():
     _, base, pat = setup((CanonicalBlock("H", 2, 1.0),))
-    X = correction_step(base, base, pat)
+    X, _, _ = correction_step(base, base, pat)
     assert np.linalg.norm(X) < 1e-12
 
 
@@ -50,7 +51,7 @@ def test_correction_pattern_supported_diff_is_zero():
     _, base, pat = setup((CanonicalBlock("H", 1, 0.0),))
     # difference sits exactly on the B star, nothing off-pattern to remove
     delta = SkewPair(np.zeros((2, 2)), 1e-3 * np.array([[0, 1], [-1, 0]], dtype=complex))
-    X = correction_step(base, perturb(base, delta), pat)
+    X, _, _ = correction_step(base, perturb(base, delta), pat)
     assert np.linalg.norm(X) < 1e-12
 
 
@@ -131,7 +132,7 @@ def test_correction_is_projection_at_current_pair(blocks):
     rng = np.random.default_rng(36)
     _, base, pat = setup(blocks)
     P = perturb(base, random_skew_pair(rng, base.n, scale=1e-3))
-    X = correction_step(base, P, pat)
+    X, _, _ = correction_step(base, P, pat)
     X_proj = project_to_pattern(P, pat, P - base)[1]
     assert np.linalg.norm(X - X_proj) <= 1e-12 * np.linalg.norm(X_proj)
 
@@ -142,7 +143,7 @@ def test_correction_equals_dense_min_norm_witness(st, log_scale, seed):
     # the matrix-free preconditioned solve returns the dense minimum-norm lstsq solution
     base, pat = make_structure_pair(st), assemble(st)
     P = perturb(base, random_skew_pair(np.random.default_rng(seed), st.dim, scale=10.0 ** log_scale))
-    X = correction_step(base, P, pat)
+    X, _, _ = correction_step(base, P, pat)
     X_ref = dense_min_norm_correction(base, P, pat)
     assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
 
@@ -171,7 +172,7 @@ def test_reduce_non_block_diagonal_base():
     assert _components(base0).tolist() == [0, 0, 1, 1, 2, 2, 2]
     assert set(_components(base).tolist()) == {0}
     perturbed = perturb(base, random_skew_pair(rng, base.n, scale=1e-3))
-    X = correction_step(base, perturbed, pat)
+    X, _, _ = correction_step(base, perturbed, pat)
     X_ref = dense_min_norm_correction(base, perturbed, pat)
     assert np.linalg.norm(X - X_ref) <= 1e-12 * np.linalg.norm(X_ref)
     trace = reduce_pair(base, perturbed, pat)
@@ -209,6 +210,29 @@ def test_iteration_records_report_the_solve():
     assert printed[0] == printed[1]
     for it, out in zip(runs[0].iterations, runs[0].to_json()["iterations"]):
         assert out["solve_residual"] == it.solve_residual and out["sweeps"] == it.sweeps
+
+
+@pytest.mark.parametrize("blocks", [
+    # the n10 ladder rung, and H_2(i) + K_2 + L_1
+    (CanonicalBlock("H", 1, 0.0), CanonicalBlock("H", 1, 1.0), CanonicalBlock("K", 1),
+     CanonicalBlock("L", 1), CanonicalBlock("L", 0)),
+    (CanonicalBlock("H", 2, 1j), CanonicalBlock("K", 2), CanonicalBlock("L", 1)),
+])
+def test_every_newton_step_is_one_correction_step(monkeypatch, blocks):
+    _, base, pat = setup(blocks)
+    perturbed = perturb(base, random_skew_pair(np.random.default_rng(47), base.n, scale=1e-3))
+    returned, original = [], reduction_module.correction_step
+
+    def recording(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(reduction_module, "correction_step", recording)
+    trace = reduce_pair(base, perturbed, pat)
+    assert trace.converged and trace.iterations
+    assert len(returned) == len(trace.iterations)
+    for it, (X, solve_residual, sweeps) in zip(trace.iterations, returned):
+        assert it.X is X and it.solve_residual == solve_residual and it.sweeps == sweeps
 
 
 def test_reduce_at_n100():
@@ -384,4 +408,4 @@ def test_schedule_exponents():
 
 
 def test_schedule_exact_invariants_m3():
-    assert IterationSchedule(3).verify_exact(count=50)
+    assert IterationSchedule(3).verify_exact()
