@@ -28,7 +28,10 @@ from . import core
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_pattern(args) -> int:
@@ -89,44 +92,53 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _verify_arguments(p):
+    p.add_argument("structure")
+    p.add_argument("--backend", choices=("exact", "float"), default="exact")
+
+
+def _reduce_arguments(p):
+    p.add_argument("--base", required=True, help="structure JSON file")
+    p.add_argument("--perturbation", required=True, help="skew pair JSON file (M, R)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+
+
+#: subcommand -> (help text, function that adds its arguments, handler), in help order
+_COMMANDS = {
+    "pattern": ("print the deformation star pattern",
+                lambda p: p.add_argument("structure", help="structure JSON file"), cmd_pattern),
+    "codim": ("print the orbit codimension", lambda p: p.add_argument("structure"), cmd_codim),
+    "verify": ("tangent-space direct-sum verification", _verify_arguments, cmd_verify),
+    "reduce": ("reduce a perturbed pair to pattern form", _reduce_arguments, cmd_reduce),
+    "corpus": ("enumerate all structures up to a dimension",
+               lambda p: p.add_argument("--max-dim", type=int, required=True), cmd_corpus),
+}
+
+
+def _parser(names) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skewpencil",
         description="Canonical skew-symmetric matrix pairs under congruence: "
                     "deformation patterns, miniversality checks, reduction.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pattern", help="print the deformation star pattern")
-    p.add_argument("structure", help="structure JSON file")
-    p.set_defaults(func=cmd_pattern)
-
-    p = sub.add_parser("codim", help="print the orbit codimension")
-    p.add_argument("structure")
-    p.set_defaults(func=cmd_codim)
-
-    p = sub.add_parser("verify", help="tangent-space direct-sum verification")
-    p.add_argument("structure")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reduce", help="reduce a perturbed pair to pattern form")
-    p.add_argument("--base", required=True, help="structure JSON file")
-    p.add_argument("--perturbation", required=True, help="skew pair JSON file (M, R)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("corpus", help="enumerate all structures up to a dimension")
-    p.add_argument("--max-dim", type=int, required=True)
-    p.set_defaults(func=cmd_corpus)
-
+    # a usage line of fewer subparsers must still list every command; with all of them
+    # argparse writes that line itself, and names the argument "command" in its errors
+    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # build only the subparser named first; help, an unknown command or a leading option needs all
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    args = _parser(names).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, MemoryError) as exc:

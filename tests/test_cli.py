@@ -1,3 +1,4 @@
+import argparse
 import json
 import warnings
 
@@ -13,6 +14,7 @@ from skewpencil import (
     pair_to_json,
     verify_pairwise,
 )
+from skewpencil import cli
 from skewpencil import pattern as pattern_module
 from skewpencil.cli import main
 from skewpencil.core import dump_json
@@ -354,3 +356,62 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # json.dumps cannot write this: the decoder recurses once per bracket and overflows
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
+    for argv in (["verify", str(deep)], ["reduce", "--base", str(spath), "--perturbation", str(deep)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.splitlines() == [f"skewpencil: error: {deep}: JSON nested too deeply"], argv
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+# each ends in argparse: help, or an error that names the usage or the argument
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "verify"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["verify"], ["verify", "x", "--backend", "z"], ["reduce", "--base", "x"], ["corpus", "--max-dim", "q"],
+    ["codim", "a", "b"], ["verify", "x", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_one_subparser_parses_as_all_five(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._parser(cli._COMMANDS)
+    assert _exit(capsys, main, argv) == _exit(capsys, full.parse_args, argv)
+
+
+def test_errors_name_the_command_argument(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit(capsys, main, [])[2].endswith("error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'bogus'" in _exit(capsys, main, ["bogus"])[2]
+    assert _exit(capsys, main, ["codim", "a", "b"])[2] == (
+        "usage: skewpencil [-h] {pattern,codim,verify,reduce,corpus} ...\n"
+        "skewpencil: error: unrecognized arguments: b\n")
+
+
+@pytest.mark.parametrize("argv, built", [
+    *(([command, "-h"], 1) for command in cli._COMMANDS),
+    (["-h"], 5), (["bogus"], 5), (["-h", "verify"], 5),
+])
+def test_a_call_builds_only_its_own_subparser(capsys, monkeypatch, argv, built):
+    add_parser, names = argparse._SubParsersAction.add_parser, []
+
+    def counting_add_parser(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert _exit(capsys, main, argv)[0] == (0 if "-h" in argv else 2)
+    assert names == (argv[:1] if built == 1 else list(cli._COMMANDS))
