@@ -169,11 +169,20 @@ class SkewPair:
         return float(np.sqrt(np.linalg.norm(self.A) ** 2 + np.linalg.norm(self.B) ** 2))
 
 
-def _cluster(root: list[int], a: int) -> int:
-    """The first member of eigenvalue a's cluster: follow ``root`` to its fixed point."""
-    while root[a] != a:
-        a = root[a]
-    return a
+def _components(adj: np.ndarray) -> np.ndarray:
+    """Label of each vertex's connected component in the graph of a symmetric bool matrix.
+
+    Components are numbered 0, 1, ... in the order of their smallest member.
+    """
+    n = len(adj)
+    # each vertex takes the smallest label among itself and its neighbours
+    # until nothing changes: then every vertex holds its component's smallest member
+    label = np.arange(n)
+    while True:
+        smaller = np.where(adj, label, label[:, None]).min(axis=1, initial=n)
+        if np.array_equal(smaller, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = smaller
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,11 @@ class CanonicalStructure:
     then K by size descending, then L by size descending.  The order is a
     convention; summands are only determined up to permutation.
 
-    Which H eigenvalues coincide is decided here, once: the distinct ones
-    are clustered by single linkage, two sharing a cluster when a chain of
-    steps of at most ``LAMBDA_TOL`` joins them, and each cluster is set to
-    its first member in canonical order.  So the eigenvalues of a structure
+    Which H eigenvalues coincide is decided here, once: the clusters of the
+    distinct ones are the connected components (:func:`_components`) of the
+    graph joining two eigenvalues at most ``LAMBDA_TOL`` apart, so a chain
+    of such steps is one cluster, and each cluster is set to its first
+    member in canonical order.  So the eigenvalues of a structure
     are equal or more than ``LAMBDA_TOL`` apart, and its pattern and its
     pair, both built from it, agree on which are equal.  A chain such as 0,
     0.6e-10, 1.2e-10 becomes one eigenvalue.
@@ -199,17 +209,10 @@ class CanonicalStructure:
     def __post_init__(self):
         blocks = sorted(self.blocks, key=CanonicalBlock.sort_key)
         lams = list(dict.fromkeys([b.lam for b in blocks if b.kind == "H"]))
-        root = list(range(len(lams)))
-        merged = False
-        for a in range(1, len(lams)):
-            for b in range(a):
-                if abs(lams[a] - lams[b]) <= LAMBDA_TOL:
-                    ra, rb = _cluster(root, a), _cluster(root, b)
-                    root[max(ra, rb)] = min(ra, rb)
-                    merged = True
         # a merge moves eigenvalues, so only then are the blocks sorted again
-        if merged:
-            snapped = {lam: lams[_cluster(root, a)] for a, lam in enumerate(lams)}
+        if any(abs(lams[a] - lams[b]) <= LAMBDA_TOL for a in range(1, len(lams)) for b in range(a)):
+            label = _components(abs(np.subtract.outer(lams, lams)) <= LAMBDA_TOL).tolist()
+            snapped = {lam: lams[label.index(c)] for lam, c in zip(lams, label)}
             blocks = sorted((CanonicalBlock("H", b.n, snapped[b.lam]) if b.kind == "H" else b
                              for b in blocks), key=CanonicalBlock.sort_key)
         object.__setattr__(self, "blocks", tuple(blocks))
@@ -354,9 +357,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     except (TypeError, ValueError):
         numbers = False
     if not numbers:
-        bad = next(z for z in entries if not (type(z) is list and len(z) == 2
-                                              and {type(x) for x in z} <= {int, float}))
-        raise ValueError(f"matrix entry must be an [re, im] pair of numbers, got {bad!r}")
+        for z in entries:
+            _json_complex(z, "matrix entry")
     return flat.view(complex).reshape(rows, cols)
 
 

@@ -173,14 +173,15 @@ def reduce_pair(
     S^T perturbed S = base + D and the off-pattern norm of D at most tol.
     Running out of iterations yields a non-converged trace, not an error;
     the recorded residuals let callers diagnose leaving the basin.
-    ``max_iter < 0`` and a NaN or negative ``tol`` raise ``ValueError``.
+    ``max_iter < 0`` and a ``tol`` that is NaN, negative or infinite raise
+    ``ValueError``.
     """
     if perturbed.n != base.n or pattern.n != base.n:
         raise ValueError("dimension mismatch")
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if not tol >= 0:  # NaN fails too
-        raise ValueError(f"tol must be a number >= 0, got {tol}")
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     n = base.n
     P = perturbed
     S = np.eye(n, dtype=complex)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LAMBDA_TOL, CanonicalBlock, CanonicalStructure, SkewPair, _block_matrices, _on_diagonal
+from .core import (LAMBDA_TOL, CanonicalBlock, CanonicalStructure, SkewPair, _block_matrices, _components,
+                   _on_diagonal)
 from .exact import _gaussian_ints, _peel, gaussian_columns_rank
 from .pattern import StarPattern, _diagonal_masks, _pattern
 
@@ -128,22 +129,6 @@ SOLVE_RTOL = 1e-15
 MAX_SWEEPS = 200
 
 
-def _components(pair: SkewPair) -> np.ndarray:
-    """Label of each index's connected component in the nonzero graph of A | B.
-
-    Components are numbered 0, 1, ... in the order of their smallest index.
-    """
-    adj = (pair._AB != 0).any(axis=0)
-    # each index takes the smallest label among itself and its neighbours
-    # until nothing changes: then every index holds its component's smallest index
-    label = np.arange(pair.n)
-    while True:
-        smaller = np.where(adj, label, label[:, None]).min(axis=1, initial=pair.n)
-        if np.array_equal(smaller, label):
-            return np.unique(label, return_inverse=True)[1]
-        label = smaller
-
-
 def _conj_row(pair: SkewPair) -> np.ndarray:
     """The n x 2n array [conj(A) | conj(B)]."""
     return pair._AB.conj().transpose(1, 0, 2).reshape(pair.n, 2 * pair.n)
@@ -159,8 +144,9 @@ class OffPatternSolver:
     and T^H(Y) = sum over M of conj(M) (Y^T - Y), each O(n^3).
 
     At the base the Gram matrix G = T T^H is block diagonal: the pieces are
-    the unordered pairs {a, b} of connected components of the base's
-    nonzero graph, and the off coordinates of output block (a, b) depend
+    the unordered pairs {a, b} of connected components of the nonzero graph
+    of A | B at the base (:func:`~skewpencil.core._components`, numbered by
+    smallest index), and the off coordinates of output block (a, b) depend
     only on X_ab and X_ba.  Each piece's Gram matrix is inverted once
     through its singular value decomposition; equal Gram matrices (repeated
     blocks) share one factorisation.  A singular piece means that the
@@ -182,7 +168,7 @@ class OffPatternSolver:
         # up/down are the flat indices of (i, j)/(j, i)
         w, i, j = _rows(n, ~pattern.mask_a, ~pattern.mask_b)
         self._up, self._down = (w * n + i) * n + j, (w * n + j) * n + i
-        label = _components(base)
+        label = _components((base._AB != 0).any(axis=0))
         piece = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
         order = np.argsort(piece, kind="stable")
         _, starts, sizes = np.unique(piece[order], return_index=True, return_counts=True)

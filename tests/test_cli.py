@@ -281,7 +281,7 @@ def test_bad_schema_exits_2(tmp_path, capsys):
             assert f"is missing key {name[len('missing-'):]!r}" in err, (name, err)
 
 
-@pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol", "-1"]])
+@pytest.mark.parametrize("option", [["--max-iter", "-3"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"]])
 def test_reduce_bad_iteration_options_exit_2(tmp_path, capsys, option):
     _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
     ppath = tmp_path / "pert.json"
@@ -289,6 +289,8 @@ def test_reduce_bad_iteration_options_exit_2(tmp_path, capsys, option):
     code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)] + option)
     assert code == 2 and out == ""
     assert "skewpencil: error:" in err
+    # the one error line names the option: max_iter or tol
+    assert err.count("\n") == 1 and option[0][2:].replace("-", "_") in err, err
 
 
 def test_verify_float_overflow_exits_2(tmp_path, capsys):

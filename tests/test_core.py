@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from skewpencil import (
     CanonicalBlock,
@@ -11,6 +12,7 @@ from skewpencil import (
     assemble,
     congruence,
     direct_sum,
+    enumerate_structures,
     global_from_pairwise,
     make_F,
     make_G,
@@ -26,8 +28,9 @@ from skewpencil import (
     structure_to_json,
     verify_pairwise,
 )
+from skewpencil import core as core_module
 from skewpencil.cli import main
-from skewpencil.core import SKEW_RTOL, dump_json
+from skewpencil.core import SKEW_RTOL, _components, dump_json
 
 from helpers import random_skew_pair
 
@@ -299,6 +302,40 @@ def test_structure_canonical_order():
     ]
     assert st.dim == 2 + 4 + 2 + 4 + 2 + 3 + 1
     assert st.block_offsets() == [0, 2, 6, 8, 12, 14, 17]
+
+
+def _breadth_first_labels(adj: np.ndarray) -> list[int]:
+    """Component labels by breadth-first search from each unlabelled vertex in index order."""
+    label = [-1] * len(adj)
+    count = 0
+    for s in range(len(adj)):
+        if label[s] < 0:
+            label[s] = count
+            queue = [s]
+            for v in queue:
+                for u in np.flatnonzero(adj[v]).tolist():
+                    if label[u] < 0:
+                        label[u] = count
+                        queue.append(u)
+            count += 1
+    return label
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hs.integers(0, 30), hs.floats(0, 0.3), hs.booleans(), hs.integers(0, 2 ** 32 - 1))
+def test_components_match_breadth_first_search(n, density, diagonal, seed):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    adj = upper | upper.T
+    np.fill_diagonal(adj, diagonal)
+    # components are numbered 0, 1, ... by smallest member, as the search finds them
+    assert _components(adj).tolist() == _breadth_first_labels(adj)
+
+
+def test_structure_without_close_eigenvalues_runs_no_clustering(monkeypatch):
+    # eigenvalues more than LAMBDA_TOL apart take only the pairwise scan
+    monkeypatch.setattr(core_module, "_components", None)
+    for st in enumerate_structures(6):
+        assert CanonicalStructure(st.blocks[::-1]) == st
 
 
 def test_structure_pair_dim():
