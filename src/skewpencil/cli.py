@@ -10,6 +10,7 @@ exit codes: 0 success, 1 verification/convergence failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,12 +52,10 @@ def cmd_verify(args) -> int:
     structure = structure_from_json(_load_json(args.structure))
     pairwise = verify_pairwise(structure, backend=args.backend)
     glob = global_from_pairwise(structure.dim, pairwise)
-    # verify_pairwise shares one report object among the rows of equal block pairs,
-    # so each distinct report is judged and rendered once and its text reused
-    reports = {id(e.report): e.report for e in pairwise}
-    ok = glob.direct_sum_ok and all(r.direct_sum_ok for r in reports.values())
-    text = {key: dump_json(r.to_json()) for key, r in reports.items()}
-    rows = ",".join([f'{{"i":{e.i},"j":{e.j},"report":{text[id(e.report)]}}}' for e in pairwise])
+    # each distinct report value is judged and rendered once and its text reused
+    text = {r: dump_json(r.to_json()) for r in {e.report for e in pairwise}}
+    ok = glob.direct_sum_ok and all(r.direct_sum_ok for r in text)
+    rows = ",".join([f'{{"i":{e.i},"j":{e.j},"report":{text[e.report]}}}' for e in pairwise])
     # "pairwise" sorts after the other keys, so it closes the document as dump_json would
     head = dump_json({"n": structure.dim, "global": glob.to_json(), "all_ok": ok})
     print(f'{head[:-1]},"pairwise":[{rows}]}}')
@@ -116,18 +115,16 @@ _COMMANDS = {
 }
 
 
-def _parser(names) -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call and reused: parse_args never changes a parser
     parser = argparse.ArgumentParser(
         prog="skewpencil",
         description="Canonical skew-symmetric matrix pairs under congruence: "
                     "deformation patterns, miniversality checks, reduction.",
     )
-    # a usage line of fewer subparsers must still list every command; with all of them
-    # argparse writes that line itself, and names the argument "command" in its errors
-    metavar = None if len(names) == len(_COMMANDS) else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, handler = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         add_arguments(p)
         p.set_defaults(func=handler)
@@ -135,10 +132,7 @@ def _parser(names) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # build only the subparser named first; help, an unknown command or a leading option needs all
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    args = _parser(names).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, MemoryError) as exc:

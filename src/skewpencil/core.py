@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -80,6 +81,9 @@ class CanonicalBlock:
     def __post_init__(self):
         if self.kind not in ("H", "K", "L"):
             raise ValueError(f"unknown block kind {self.kind!r}")
+        if isinstance(self.n, bool) or not hasattr(type(self.n), "__index__"):
+            raise ValueError(f"block size n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.kind in ("H", "K") and self.n < 1:
             raise ValueError(f"{self.kind} block needs n >= 1")
         if self.kind == "L" and self.n < 0:

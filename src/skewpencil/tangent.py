@@ -445,17 +445,12 @@ def global_from_pairwise(n: int, pairwise: list[PairwiseReport]) -> Decompositio
     report (i, j) counts pieces i, j and (i, j).  Each of rank_T, p, rank
     T_off and hence the intersection rank_T - rank T_off is therefore
     sum_i r_ii + sum_{i<j} (R_ij - r_ii - r_jj): with k blocks, weight 1
-    on the two-block reports and 2 - k on the one-block reports.  Rows
-    that share one report object add up their weights first, so each
-    distinct report is read once.
+    on the two-block reports and 2 - k on the one-block reports.
     """
     k = sum(e.i == e.j for e in pairwise)
-    tally: dict[int, list] = {}
-    for e in pairwise:
-        tally.setdefault(id(e.report), [e.report, 0])[1] += 2 - k if e.i == e.j else 1
 
     def total(field: str) -> int:
-        return sum(w * getattr(r, field) for r, w in tally.values())
+        return sum((2 - k if e.i == e.j else 1) * getattr(e.report, field) for e in pairwise)
 
     return DecompositionReport(total("rank_t"), total("params_p"), n * (n - 1), total("intersection_dim"))
 

@@ -110,6 +110,9 @@ def test_block_validation():
         CanonicalBlock("X", 1)
     with pytest.raises(ValueError):
         CanonicalBlock("K", 1, 2.0)
+    for n in (2.0, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="block size n must be an integer"):
+            CanonicalBlock("H", n)
     for lam in (complex("nan"), complex(0, float("inf"))):
         with pytest.raises(ValueError):
             CanonicalBlock("H", 1, lam)
@@ -361,10 +364,13 @@ def test_structure_json_round_trip():
         CanonicalBlock("H", 2, -1j),
         CanonicalBlock("K", 1),
         CanonicalBlock("L", 0),
+        CanonicalBlock("L", np.int64(2)),
     ))
     obj = structure_to_json(st)
     assert {"kind": "L", "n": 0} in obj["blocks"]
     assert structure_from_json(obj) == st
+    assert structure_from_json(json.loads(dump_json(obj))) == st
+    assert all(type(b.n) is int for b in st.blocks)
 
 
 def test_matrix_json_bad_entry_count():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -24,9 +26,11 @@ from skewpencil import (
 )
 
 import skewpencil
+from skewpencil import cli
 from skewpencil import core as core_module
 from skewpencil import pattern as pattern_module
 from skewpencil import tangent as tangent_module
+from skewpencil.core import dump_json, structure_to_json
 from skewpencil.tangent import OffPatternSolver, _chart, _exact_tangent_columns
 
 from helpers import (
@@ -290,12 +294,25 @@ def test_global_from_pairwise_on_corpus():
 
 
 @pytest.mark.parametrize("name", sorted(LADDER))
-def test_global_from_pairwise_on_ladder(name):
+def test_global_from_pairwise_on_ladder(name, tmp_path, capsys, monkeypatch):
     st = ladder_structure(name)
     assert st.dim == int(name[1:].rstrip("i"))
-    derived = global_from_pairwise(st.dim, verify_pairwise(st))
+    pairwise = verify_pairwise(st)
+    derived = global_from_pairwise(st.dim, pairwise)
     assert derived == verify_direct_sum(make_structure_pair(st), assemble(st))
     assert derived.direct_sum_ok
+    # equal but distinct report objects give the same report and the same verify output
+    copies = [dataclasses.replace(e, report=dataclasses.replace(e.report)) for e in pairwise]
+    assert not any(c.report is e.report for c, e in zip(copies, pairwise))
+    assert global_from_pairwise(st.dim, copies) == derived
+    path = tmp_path / "structure.json"
+    path.write_text(dump_json(structure_to_json(st)))
+    out = []
+    for rows in (pairwise, copies):
+        monkeypatch.setattr(cli, "verify_pairwise", lambda structure, backend, _rows=rows: _rows)
+        assert cli.main(["verify", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
 
 
 def test_pairwise_checks_each_distinct_substructure_once(monkeypatch):
