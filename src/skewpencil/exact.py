@@ -1,16 +1,16 @@
 """Exact rank computation over the Gaussian rationals.
 
 Rank decisions for the miniversality check are discontinuous, so the
-default verification backend avoids floating point entirely.  Matrices
-with Gaussian-rational entries are scaled to Gaussian integers (scaling
-does not change rank).  :func:`_peel` takes off the columns with a single
-nonzero entry: each adds one to the rank and removes its coordinate from
-the other columns, which is the opening step of structured Gaussian
-elimination (LaMacchia and Odlyzko, CRYPTO '90).  On a canonical tangent
-most columns go this way, and the direct-sum check peels once for both of
-its ranks.  :func:`gaussian_columns_rank` ranks the columns it is given:
-it realifies them when an imaginary part is present (doubling the rank)
-and runs one sparse fraction-free elimination over the integers.
+default verification backend avoids floating point entirely.  It is one
+call, :func:`_tangent_ranks`, and this module owns all of it: the scaling
+to Gaussian integers (:func:`pair_to_gaussian_ints`), the sparse tangent
+columns, the peel and both ranks.  :func:`_peel` takes off the columns
+with a single nonzero entry: each adds one to the rank and removes its
+coordinate from the other columns, the opening step of structured Gaussian
+elimination (LaMacchia and Odlyzko, CRYPTO '90).
+:func:`gaussian_columns_rank` ranks the columns it is given: it realifies
+them when an imaginary part is present (doubling the rank) and runs one
+sparse fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
@@ -133,31 +133,62 @@ def gaussian_columns_rank(columns: list[dict[int, tuple[int, int]]]) -> int:
     return r // 2
 
 
-def _gaussian_ints(values: list[complex]) -> dict[complex, tuple[int, int]]:
-    """Each distinct value times one common positive denominator, as an exact (re, im) integer pair.
+def pair_to_gaussian_ints(pair: SkewPair) -> tuple[tuple[np.ndarray, ...], list[tuple[int, int]]]:
+    """(index, ints): ``np.nonzero`` of the pair's (2, n, n) array and its entries as Gaussian integers.
 
-    The values must be finite; every binary float is a ratio of integers,
-    so the scaled values are exact.  Each distinct value is converted once,
-    by ``as_integer_ratio``, and the denominator is the least common
-    multiple of all their denominators.
-    """
-    ratios = {z: (z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in set(values)}
-    denom = lcm(*(d for ri in ratios.values() for _, d in ri))
-    return {z: (a * (denom // da), b * (denom // db)) for z, ((a, da), (b, db)) in ratios.items()}
-
-
-def pair_to_gaussian_ints(pair: SkewPair) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scale a pair with (binary-exact) rational entries to Gaussian integers.
-
-    Returns object arrays of python ints (Are, Aim, Bre, Bim) equal to the
-    original entries times the common denominator of :func:`_gaussian_ints`.
-    Scaling a pair scales its tangent map, leaving every rank unchanged.
-    Zeros stay the int 0.
+    ``ints[k]`` is the (re, im) of listed entry k times one common positive
+    denominator, the least common multiple of the entries' denominators.
+    Every finite binary float is a ratio of integers, so this is exact; each
+    distinct value is converted once.  ``-0.0`` is not listed.  Scaling a
+    pair scales its tangent map and leaves every rank unchanged.
     """
     index = np.nonzero(pair._AB)
     values = pair._AB[index].tolist()
-    ints = _gaussian_ints(values)
-    out = np.zeros((2, 2, pair.n, pair.n), dtype=object)
-    for w, i, j, z in zip(*(x.tolist() for x in index), values):
-        out[w, :, i, j] = ints[z]
-    return out[0, 0], out[0, 1], out[1, 0], out[1, 1]
+    ratios = {z: (z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in set(values)}
+    denom = lcm(*(d for ri in ratios.values() for _, d in ri))
+    ints = {z: (a * (denom // da), b * (denom // db)) for z, ((a, da), (b, db)) in ratios.items()}
+    return index, [ints[z] for z in values]
+
+
+def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
+    """Nonzero tangent columns over the Gaussian integers of :func:`pair_to_gaussian_ints`.
+
+    Columns come in the order of their elementary matrices E_ij (index
+    i*n + j).  Row (w, i, j), i < j, of matrix w (0 = A, 1 = B) is keyed by
+    its flat index (w*n + i)*n + j in a (2, n, n) array, so the keys sort
+    as the tangent rows do.  The image of E_ij holds M[i, q] at (j, q) and
+    M[p, i] at (p, j), so each nonzero M[r, c] is written once per column
+    it reaches: to (j, c) of E_rj for j < c, and to (r, j) of E_cj for
+    j > r.  No two entries reach the same row of one column.
+    """
+    n = pair.n
+    index, ints = pair_to_gaussian_ints(pair)
+    cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(n * n)]
+    for w, r, c, v in zip(*(x.tolist() for x in index), ints):
+        key = w * n * n + c
+        for j, col in enumerate(cols[r * n:r * n + c]):
+            col[key + j * n] = v
+        key = (w * n + r) * n
+        for j, col in enumerate(cols[c * n + r + 1:c * n + n], r + 1):
+            col[key + j] = v
+    return [col for col in cols if col]
+
+
+def _tangent_ranks(pair: SkewPair, stars: np.ndarray) -> tuple[int, int]:
+    """(rank T, rank T_off) of a pair's tangent map T, T_off being T without the rows of the (2, n, n) ``stars``.
+
+    The unit columns of T are peeled once (:func:`_peel`), which gives
+    rank T = |K| + rank R, with E_K in span T and R the other columns with
+    the K rows deleted.  Deleting the star rows S maps span T onto span
+    T_off and E_K onto E_{K - S}, so the same lemma gives rank T_off =
+    |K - S| + rank of R with the S rows deleted as well.  This is the only
+    peel: :func:`gaussian_columns_rank` ranks R and R without S as they are.
+    """
+    peeled, rest = _peel(_exact_tangent_columns(pair))
+    rank_t = len(peeled) + gaussian_columns_rank(rest)
+    # the star rows by their flat index in the mask, which keys the columns; the
+    # mirrors below the diagonal key no tangent row and drop nothing
+    keys = set(np.flatnonzero(stars).tolist())
+    rank_off = len(peeled - keys) + gaussian_columns_rank(
+        [col if keys.isdisjoint(col) else {k: v for k, v in col.items() if k not in keys} for col in rest])
+    return rank_t, rank_off

@@ -4,7 +4,9 @@ The tangent space at a pair (A, B) is T(A, B) = {(C^T A + A C, C^T B + B C)}
 over all n-by-n matrices C.  A star pattern is a miniversal deformation of
 the pair exactly when the space of skew pairs splits as the direct sum of
 T(A, B) and the span of the star directions.  This module builds the
-explicit tangent matrix and checks the splitting (exactly, by default).
+explicit tangent matrix and checks the splitting.  The default, exact check
+is one call into :mod:`~skewpencil.exact`, which owns the scaling to
+Gaussian integers, the sparse columns, the peel and both ranks.
 
 The rows of the tangent, in the order of :func:`_rows`, are the coordinates
 (w, i, j), i < j, of matrix w (0 = A, 1 = B).  Dropping the star rows loses
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import (LAMBDA_TOL, CanonicalBlock, CanonicalStructure, SkewPair, _block_matrices, _components,
                    _on_diagonal)
-from .exact import _gaussian_ints, _peel, gaussian_columns_rank
+from .exact import _tangent_ranks
 from .pattern import StarPattern, _diagonal_masks, _pattern
 
 #: singular values below this fraction of the largest are treated as zero
@@ -91,36 +93,6 @@ def float_rank(M: np.ndarray) -> int:
     if not np.isfinite(s).all():
         raise ValueError("float rank: the singular values overflow; the entries are too large")
     return int(np.sum(s > FLOAT_RANK_RTOL * s[0]))
-
-
-def _exact_tangent_columns(pair: SkewPair) -> list[dict[int, tuple[int, int]]]:
-    """Nonzero tangent columns over scaled Gaussian integers, as sparse row dicts.
-
-    Columns come in the order of their elementary matrices E_ij (index
-    i*n + j).  Row (w, i, j) of :func:`_rows` is keyed by its flat index
-    (w*n + i)*n + j in a (2, n, n) array, so the keys sort as the rows do.
-    The image of E_ij holds M[i, q] at (j, q) and M[p, i] at (p, j), so
-    each nonzero M[r, c] is written once per column it reaches: to (j, c)
-    of E_rj for j < c, and to (r, j) of E_cj for j > r.  No two entries
-    reach the same row of one column.  The entries are scaled by one
-    common denominator, each distinct value converted once
-    (:func:`~skewpencil.exact._gaussian_ints`); a canonical pair holds only
-    a few distinct values.
-    """
-    n = pair.n
-    index = np.nonzero(pair._AB)
-    values = pair._AB[index].tolist()
-    ints = _gaussian_ints(values)
-    cols: list[dict[int, tuple[int, int]]] = [{} for _ in range(n * n)]
-    for w, r, c, z in zip(*(x.tolist() for x in index), values):
-        v = ints[z]
-        key = w * n * n + c
-        for j, col in enumerate(cols[r * n:r * n + c]):
-            col[key + j * n] = v
-        key = (w * n + r) * n
-        for j, col in enumerate(cols[c * n + r + 1:c * n + n], r + 1):
-            col[key + j] = v
-    return [col for col in cols if col]
 
 
 #: relative Gram residual at which a correction solve stops
@@ -348,28 +320,16 @@ def verify_direct_sum(pair: SkewPair, pattern: StarPattern, backend: str = "exac
     Ranks the tangent matrix T and its off-pattern rows T_off; the
     intersection of T(pair) with the star span is rank T - rank T_off.
     ``backend="exact"`` ranks over the Gaussian rationals and is the
-    decision procedure; ``"float"`` uses SVD with a relative threshold.
-
-    The exact backend peels the unit columns of T once
-    (:func:`~skewpencil.exact._peel`) and serves both ranks from it.  The
-    peel gives rank T = |K| + rank R, with E_K in span T and R the other
-    columns with the K rows deleted.  Deleting the star rows S maps span T
-    onto span T_off and E_K onto E_{K - S}, so the same lemma gives rank
-    T_off = |K - S| + rank of R with the S rows deleted as well.  This is
-    the only peel: :func:`~skewpencil.exact.gaussian_columns_rank` ranks
-    R and R without S as they are.
+    decision procedure: :mod:`~skewpencil.exact` owns the scaling, the
+    columns, the peel and both ranks.  ``"float"`` uses SVD with a relative
+    threshold, an estimate that can disagree with the exact ranks on
+    ill-conditioned pairs.
     """
     if pattern.n != pair.n:
         raise ValueError("pattern dimension does not match pair")
     n = pair.n
     if backend == "exact":
-        peeled, rest = _peel(_exact_tangent_columns(pair))
-        rank_t = len(peeled) + gaussian_columns_rank(rest)
-        # the star rows, by their flat index in the (2, n, n) masks, which keys the exact
-        # columns; the mirrors below the diagonal key no tangent row and drop nothing
-        stars = set(np.flatnonzero(np.array((pattern.mask_a, pattern.mask_b))).tolist())
-        rank_off = len(peeled - stars) + gaussian_columns_rank(
-            [col if stars.isdisjoint(col) else {k: v for k, v in col.items() if k not in stars} for col in rest])
+        rank_t, rank_off = _tangent_ranks(pair, np.array((pattern.mask_a, pattern.mask_b)))
     elif backend == "float":
         T = tangent_map(pair).matrix
         rank_t = float_rank(T)

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from skewpencil import (CanonicalBlock, CanonicalStructure, SkewPair, assemble, make_block, make_structure_pair,
                         verify_direct_sum)
 from skewpencil import exact as exact_module
-from skewpencil import tangent as tangent_module
 from skewpencil.exact import _peel, gaussian_columns_rank, pair_to_gaussian_ints, sparse_int_rank
 
 from helpers import dense_fraction_rank, svd_rank, unpeeled_columns_rank
@@ -192,8 +191,7 @@ def test_the_direct_sum_check_alone_peels(monkeypatch):
         return gaussian_columns_rank(columns)
 
     monkeypatch.setattr(exact_module, "_peel", peel)
-    monkeypatch.setattr(tangent_module, "_peel", peel)
-    monkeypatch.setattr(tangent_module, "gaussian_columns_rank", rank)
+    monkeypatch.setattr(exact_module, "gaussian_columns_rank", rank)
     monkeypatch.setattr(exact_module, "sparse_int_rank", lambda r: rows.append(r) or sparse_int_rank(r))
     structures = [(CanonicalBlock("H", 2, 1j), CanonicalBlock("K", 2), CanonicalBlock("L", 1)),
                   (CanonicalBlock("H", 1, 1j), CanonicalBlock("H", 1, 1j), CanonicalBlock("L", 1))]
@@ -207,19 +205,35 @@ def test_the_direct_sum_check_alone_peels(monkeypatch):
         assert not any((c // 2 if real else c) in peeled for row in rank_rows for c in row)
 
 
-def test_pair_to_gaussian_ints_integer_pair():
-    pair = make_block(CanonicalBlock("H", 2, 1j))
-    Are, Aim, Bre, Bim = pair_to_gaussian_ints(pair)
-    assert np.array_equal(Are.astype(float), pair.A.real)
-    assert np.array_equal(Bim.astype(float), pair.B.imag)
+def test_pair_to_gaussian_ints_lists_the_nonzero_index():
+    st = CanonicalStructure((CanonicalBlock("H", 2, 1j), CanonicalBlock("K", 2), CanonicalBlock("L", 1)))
+    pair = make_structure_pair(st)
+    index, ints = pair_to_gaussian_ints(pair)
+    expected = np.nonzero(pair._AB)
+    assert len(index) == 3 and all(np.array_equal(a, b) for a, b in zip(index, expected))
+    # integer entries: the common denominator is 1
+    assert ints == [(int(z.real), int(z.imag)) for z in pair._AB[expected]]
 
 
-def test_pair_to_gaussian_ints_scales_rationals():
-    pair = make_block(CanonicalBlock("H", 1, 0.5))
-    Are, Aim, Bre, Bim = pair_to_gaussian_ints(pair)
-    # common denominator 2: A doubles, B becomes integral
-    assert Are[0, 1] == 2 and Bre[0, 1] == 1
-    assert Aim[0, 1] == 0 and Bim[0, 1] == 0
+def test_pair_to_gaussian_ints_scales_by_the_least_common_denominator():
+    # H_1(0.1): A holds +-1 and B holds +-0.1 = +-3602879701896397 * 2**-55, so the
+    # least common denominator is 2**55 and each entry is scaled exactly by it
+    pair = make_block(CanonicalBlock("H", 1, 0.1))
+    index, ints = pair_to_gaussian_ints(pair)
+    assert 0.1 == Fraction(3602879701896397, 2 ** 55)
+    assert pair._AB[index].tolist() == [1, -1, 0.1, -0.1]
+    assert ints == [(2 ** 55, 0), (-(2 ** 55), 0), (3602879701896397, 0), (-3602879701896397, 0)]
+
+
+def test_pair_to_gaussian_ints_does_not_list_negative_zeros():
+    A = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, -0.0], [-2.0, 0.0, 0.0]])
+    B = np.array([[0.0, 0.5j, complex(-0.0, -0.0)], [-0.5j, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    pair = SkewPair(A, B)
+    assert (np.signbit(pair._AB.real) & (pair._AB == 0)).sum() == 3  # the pair holds three -0.0 entries
+    index, ints = pair_to_gaussian_ints(pair)
+    assert [tuple(x.tolist()) for x in index] == [(0, 0, 1, 1), (0, 2, 0, 1), (2, 0, 1, 0)]
+    # the least common denominator of 2 and 0.5i is 2
+    assert ints == [(4, 0), (-4, 0), (0, 1), (0, -1)]
 
 
 def test_dense_fraction_rank_basic():

@@ -28,10 +28,12 @@ from skewpencil import (
 import skewpencil
 from skewpencil import cli
 from skewpencil import core as core_module
+from skewpencil import exact as exact_module
 from skewpencil import pattern as pattern_module
 from skewpencil import tangent as tangent_module
 from skewpencil.core import dump_json, structure_to_json
-from skewpencil.tangent import OffPatternSolver, _chart, _exact_tangent_columns
+from skewpencil.exact import _exact_tangent_columns
+from skewpencil.tangent import OffPatternSolver, _chart
 
 from helpers import (
     brute_tangent_matrix,
@@ -558,16 +560,40 @@ def test_chart_memo_follows_content():
 
 
 def test_exact_verify_ranks_equal_the_unpeeled_reference(monkeypatch):
-    calls, original = [], tangent_module.gaussian_columns_rank
+    calls, original = [], exact_module.gaussian_columns_rank
 
     def recording(columns):
         calls.append((columns, rank := original(columns)))
         return rank
 
-    monkeypatch.setattr(tangent_module, "gaussian_columns_rank", recording)
+    monkeypatch.setattr(exact_module, "gaussian_columns_rank", recording)
     for st in CORPUS_6:
         verify_direct_sum(make_structure_pair(st), assemble(st))
         verify_pairwise(st)
     monkeypatch.undo()
     assert len(calls) > 2 * len(CORPUS_6)
     assert all(rank == unpeeled_columns_rank(cols) for cols, rank in calls)
+
+
+def test_each_exact_check_scales_its_pair_once(monkeypatch, tmp_path, capsys):
+    # a wrapper bound in the exact module, as a span recorder binds one, sees every
+    # scaling: exactly one per exact verify_direct_sum call, and none for float
+    scaled, checked = [], []
+    scale, check = exact_module.pair_to_gaussian_ints, tangent_module.verify_direct_sum
+    monkeypatch.setattr(exact_module, "pair_to_gaussian_ints", lambda pair: scaled.append(pair.n) or scale(pair))
+    monkeypatch.setattr(tangent_module, "verify_direct_sum", lambda pair, pattern, backend="exact":
+                        checked.append(backend) or check(pair, pattern, backend))
+    st = ladder_structure("n10")
+    path = tmp_path / "n10.json"
+    path.write_text(dump_json(structure_to_json(st)))
+    for backend in ("exact", "float"):
+        assert cli.main(["verify", str(path), "--backend", backend]) == 0
+    capsys.readouterr()
+    assert checked.count("exact") == checked.count("float") == len(scaled) > 0
+
+
+def test_tangent_binds_one_name_of_the_exact_backend():
+    bound = [name for name, value in vars(tangent_module).items()
+             if getattr(value, "__module__", None) == exact_module.__name__]
+    assert bound == ["_tangent_ranks"]
+    assert not {"_peel", "_gaussian_ints", "gaussian_columns_rank"} & set(vars(tangent_module))
