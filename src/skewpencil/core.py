@@ -8,6 +8,12 @@ indecomposable canonical pairs generate everything up to congruence:
 * ``H`` -- regular pair with finite eigenvalue lambda, size 2n,
 * ``K`` -- regular pair with infinite eigenvalue, size 2n,
 * ``L`` -- singular pair, size 2n+1 (n = 0 gives the 1x1 zero pair).
+
+A :class:`SkewPair` holds one read-only (2, n, n) array [A, B].  The
+public constructor, pair ``+`` and ``-``, :func:`direct_sum`,
+:func:`congruence` and the JSON reader check it; the canonical pairs that
+:func:`make_structure_pair` places from validated blocks are not checked
+a second time.
 """
 
 from __future__ import annotations
@@ -125,7 +131,8 @@ class SkewPair:
     The pair holds one read-only (2, n, n) complex array, ``_AB`` = [A, B],
     copied from the arguments and validated once; ``A`` and ``B`` are views
     of it, made on each access.  ``+``, ``-`` and :func:`congruence` act on
-    the whole array at once.
+    the whole array at once, and check their result.  Only pairs placed
+    from canonical block stacks skip the check (:meth:`_trusted`).
     """
 
     __slots__ = ("_AB",)
@@ -145,6 +152,21 @@ class SkewPair:
         """The pair [A, B] = AB, for a new (2, n, n) complex array that no one else holds."""
         pair = cls.__new__(cls)
         pair._AB = _skew_stack(AB)
+        return pair
+
+    @classmethod
+    def _trusted(cls, AB: np.ndarray) -> "SkewPair":
+        """The pair [A, B] = AB, made read-only and not checked.
+
+        Only for a new (2, n, n) complex array that no one else holds and
+        that is zero but for canonical block stacks (:func:`_block_matrices`)
+        placed down its diagonal: each stack is exactly skew, and finite
+        because :class:`CanonicalBlock` checked its eigenvalue, so the sum is
+        a valid pair.
+        """
+        AB.setflags(write=False)
+        pair = cls.__new__(cls)
+        pair._AB = AB
         return pair
 
     @property
@@ -273,9 +295,10 @@ def direct_sum(pairs: list[SkewPair]) -> SkewPair:
 def make_structure_pair(structure: CanonicalStructure) -> SkewPair:
     """Canonical pair of a whole structure (direct sum in canonical order).
 
-    The sum is validated once, not block by block.
+    The block stacks are exactly skew and finite, so the sum is not
+    checked again (:meth:`SkewPair._trusted`).
     """
-    return SkewPair._of(_on_diagonal([_block_matrices(b) for b in structure.blocks], complex))
+    return SkewPair._trusted(_on_diagonal([_block_matrices(b) for b in structure.blocks], complex))
 
 
 def congruence(pair: SkewPair, S: np.ndarray) -> SkewPair:

@@ -7,14 +7,17 @@ it; the (j, i) mirror of a star carries the negated value of its (i, j)
 partner, so the number of independent parameters is half the star count.
 That count equals the codimension of the congruence orbit.
 
+A :class:`StarPattern` holds one read-only (2, n, n) bool array
+[mask_a, mask_b].  Its public constructor checks the masks; the patterns
+that :func:`assemble` renders are symmetric with no diagonal stars by
+construction and are not checked a second time.
+
 Block placement rules are verified against the exact tangent-space rank
 oracle in the test suite; where several star placements are admissible the
 library fixes one deterministic variant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,33 +147,67 @@ def offdiag_block(bi: CanonicalBlock, bj: CanonicalBlock) -> tuple[np.ndarray, n
     return mask_a, mask_b
 
 
-@dataclass(frozen=True)
 class StarPattern:
-    """Deformation masks of a whole structure: symmetric, no diagonal stars (else ValueError)."""
+    """Deformation masks of a whole structure: symmetric, no diagonal stars (else ValueError).
 
-    n: int
-    mask_a: np.ndarray
-    mask_b: np.ndarray
+    The pattern holds one read-only (2, n, n) bool array, ``_masks`` =
+    [mask_a, mask_b], copied from the arguments and checked once;
+    ``mask_a`` and ``mask_b`` are views of it, made on each access.
+    """
 
-    def __post_init__(self):
-        # read-only bool copies: the caller's arrays stay theirs and writable
-        for name in ("mask_a", "mask_b"):
-            mask = np.array(getattr(self, name), dtype=bool)
-            if mask.shape != (self.n, self.n):
+    __slots__ = ("_masks",)
+
+    def __init__(self, n: int, mask_a, mask_b):
+        masks = []
+        for name, mask in (("mask_a", mask_a), ("mask_b", mask_b)):
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != (n, n):
                 raise ValueError("mask shape must be n x n")
             # one byte per entry, so the bytes compare entries; entry (i, i) is byte i*(n+1)
             entries = mask.tobytes()
             if entries != mask.T.tobytes():
                 raise ValueError(f"{name} must be symmetric: each star (i, j) needs its mirror (j, i)")
-            if 1 in entries[::self.n + 1]:
+            if 1 in entries[::n + 1]:
                 raise ValueError(f"{name} must not star the diagonal")
-            mask.setflags(write=False)
-            object.__setattr__(self, name, mask)
+            masks.append(mask)
+        # np.array copies, so the caller's arrays stay theirs and writable
+        self._masks = np.array(masks)
+        self._masks.setflags(write=False)
+
+    @classmethod
+    def _trusted(cls, masks: np.ndarray) -> "StarPattern":
+        """The pattern [mask_a, mask_b] = masks, made read-only and not checked.
+
+        Only for a new (2, n, n) bool array that no one else holds, as
+        :func:`_pattern` renders it: each diagonal block is symmetric with no
+        star on its diagonal (:func:`diag_block`), and each off-diagonal
+        block lies off the diagonal and is mirrored by transposition, so
+        the masks are symmetric with no diagonal stars.
+        """
+        masks.setflags(write=False)
+        pattern = cls.__new__(cls)
+        pattern._masks = masks
+        return pattern
+
+    @property
+    def mask_a(self) -> np.ndarray:
+        return self._masks[0]
+
+    @property
+    def mask_b(self) -> np.ndarray:
+        return self._masks[1]
+
+    @property
+    def n(self) -> int:
+        return self._masks.shape[1]
+
+    def __repr__(self) -> str:
+        return f"StarPattern(n={self.n}, mask_a={self.mask_a!r}, mask_b={self.mask_b!r})"
 
     @property
     def params(self) -> int:
         """Number of independent parameters: the strictly-upper stars, half the total."""
-        return (int(self.mask_a.sum()) + int(self.mask_b.sum())) // 2
+        return int(np.count_nonzero(self._masks)) // 2
 
     def to_json(self) -> dict:
         return {
@@ -208,7 +245,7 @@ def _pattern(blocks: tuple[CanonicalBlock, ...], diag: dict[CanonicalBlock, np.n
             rows, cols = slice(offs[i], offs[i + 1]), slice(offs[j], offs[j + 1])
             masks[:, rows, cols] = off
             masks[:, cols, rows] = off.swapaxes(1, 2)
-    return StarPattern(offs[-1], masks[0], masks[1])
+    return StarPattern._trusted(masks)
 
 
 def assemble(structure: CanonicalStructure) -> StarPattern:

@@ -46,17 +46,16 @@ class DirectSumError(ValueError):
     """
 
 
-def _rows(n: int, mask_a, mask_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rows(n: int, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w, i, j) of the strictly-upper coordinates (i, j), i < j, of matrix w
-    (0 = A, 1 = B) that the masks pick, in (w, i, j) order.
+    (0 = A, 1 = B) that the (2, n, n) bool ``masks`` pick, in (w, i, j) order.
 
-    This is the row order of the tangent map: ``_rows(n, True, True)``
-    numbers all n(n-1) rows, and a pattern's masks or their complements pick
-    its star or off-pattern rows.
+    This is the row order of the tangent map: ``_rows(n, True)`` numbers
+    all n(n-1) rows, and a pattern's stack or its complement picks its star
+    or off-pattern rows.
     """
     r = np.arange(n)
-    upper = r[:, None] < r
-    return np.nonzero(np.array([upper & mask_a, upper & mask_b]))
+    return np.nonzero(np.broadcast_to((r[:, None] < r) & masks, (2, n, n)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class TangentMap:
 
 def tangent_map(pair: SkewPair) -> TangentMap:
     n = pair.n
-    w, i, j = _rows(n, True, True)
+    w, i, j = _rows(n, True)
     rows = np.arange(w.size)[:, None]
     q = np.arange(n) * n
     M = pair._AB
@@ -138,7 +137,7 @@ class OffPatternSolver:
         self._AB_bar = _conj_row(base)
         # off row (w, i, j) sits at row w*n + i of a stacked 2n x n array;
         # up/down are the flat indices of (i, j)/(j, i)
-        w, i, j = _rows(n, ~pattern.mask_a, ~pattern.mask_b)
+        w, i, j = _rows(n, ~pattern._masks)
         self._up, self._down = (w * n + i) * n + j, (w * n + j) * n + i
         label = _components((base._AB != 0).any(axis=0))
         piece = np.minimum(label[i], label[j]) * n + np.maximum(label[i], label[j])
@@ -276,13 +275,13 @@ def _chart(pair: SkewPair, pattern: StarPattern) -> OffPatternSolver:
     """The base chart of (pair, pattern), rebuilt only when their content changes.
 
     One memo slot, keyed on the bytes of the pair's (2, n, n) complex array
-    and of both n x n bool masks, whose lengths fix their shapes: the
-    projections, corrections and schedule of one base share one
+    and of the pattern's (2, n, n) bool array, whose lengths fix their
+    shapes: the projections, corrections and schedule of one base share one
     factorisation, including across pair and pattern objects rebuilt with
     equal content, and a new base replaces the slot.
     """
     global _last_chart
-    key = (pair._AB.tobytes(), pattern.mask_a.tobytes(), pattern.mask_b.tobytes())
+    key = (pair._AB.tobytes(), pattern._masks.tobytes())
     # read the slot once, so that a thread replacing it meanwhile cannot hand
     # this caller the chart of another base
     last = _last_chart
@@ -321,19 +320,20 @@ def verify_direct_sum(pair: SkewPair, pattern: StarPattern, backend: str = "exac
     intersection of T(pair) with the star span is rank T - rank T_off.
     ``backend="exact"`` ranks over the Gaussian rationals and is the
     decision procedure: :mod:`~skewpencil.exact` owns the scaling, the
-    columns, the peel and both ranks.  ``"float"`` uses SVD with a relative
-    threshold, an estimate that can disagree with the exact ranks on
-    ill-conditioned pairs.
+    columns, the peel and both ranks, and reads the pattern's (2, n, n)
+    stack as it is.  ``"float"`` uses SVD with a relative threshold, an
+    estimate that can disagree with the exact ranks on ill-conditioned
+    pairs.
     """
     if pattern.n != pair.n:
         raise ValueError("pattern dimension does not match pair")
     n = pair.n
     if backend == "exact":
-        rank_t, rank_off = _tangent_ranks(pair, np.array((pattern.mask_a, pattern.mask_b)))
+        rank_t, rank_off = _tangent_ranks(pair, pattern._masks)
     elif backend == "float":
         T = tangent_map(pair).matrix
         rank_t = float_rank(T)
-        star = np.array([pattern.mask_a, pattern.mask_b])[_rows(n, True, True)]
+        star = pattern._masks[_rows(n, True)]
         rank_off = float_rank(T[~star])
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -370,10 +370,10 @@ def verify_pairwise(
     built once per call: each distinct block's matrices and diagonal
     masks, and the off-diagonal masks of each distinct block pair.  They
     equal ``make_structure_pair`` and ``assemble`` of the substructure,
-    whose blocks are already in canonical order.  Nothing is kept between
-    calls.  ``lambda_tol`` is accepted and ignored: the structure has
-    already decided which eigenvalues coincide (see
-    :class:`~skewpencil.core.CanonicalStructure`).
+    whose blocks are already in canonical order, and like those are not
+    checked a second time.  Nothing is kept between calls.  ``lambda_tol``
+    is accepted and ignored: the structure has already decided which
+    eigenvalues coincide (see :class:`~skewpencil.core.CanonicalStructure`).
     """
     blocks = structure.blocks
     # each distinct block gets a small integer id, so that the memo hashes ints
@@ -386,7 +386,7 @@ def verify_pairwise(
     keys += dict.fromkeys((a, b) for i, a in enumerate(bid) for b in bid[i + 1:])
     memo: dict[tuple[int, ...], DecompositionReport] = {}
     for key in keys:
-        pair = SkewPair._of(_on_diagonal([matrices[d] for d in key], complex))
+        pair = SkewPair._trusted(_on_diagonal([matrices[d] for d in key], complex))
         memo[key] = verify_direct_sum(pair, _pattern(tuple(distinct[d] for d in key), diag), backend)
     out = [PairwiseReport(i, i, memo[(a,)]) for i, a in enumerate(bid)]
     for i, a in enumerate(bid):

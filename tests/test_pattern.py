@@ -224,6 +224,8 @@ def test_assemble_equals_the_unmemoised_renderer():
         pat = assemble(st)
         mask_a, mask_b = masks_unmemoised(st)
         assert pat.mask_a.tobytes() == mask_a.tobytes() and pat.mask_b.tobytes() == mask_b.tobytes(), st
+        # assemble skips the checks of StarPattern, which accepts its masks unchanged
+        assert StarPattern(pat.n, pat.mask_a, pat.mask_b)._masks.tobytes() == pat._masks.tobytes(), st
 
 
 def test_assemble_renders_each_distinct_block_and_block_pair_once(monkeypatch):
@@ -268,6 +270,10 @@ def test_pattern_copies_the_callers_masks():
     pat = StarPattern(st.dim, a, b)
     assert a.flags.writeable and b.flags.writeable
     assert not pat.mask_a.flags.writeable and pat.mask_a.dtype == bool
+    # one read-only (2, n, n) stack, whether checked or rendered by assemble
+    for p in (pat, ref):
+        assert p._masks.shape == (2, st.dim, st.dim) and not p._masks.flags.writeable
+        assert np.shares_memory(p.mask_a, p._masks) and np.shares_memory(p.mask_b, p._masks)
     a[:] = 0  # the pattern keeps its own copy
     assert pat.params == ref.params == 3
     assert pat.to_json() == ref.to_json()

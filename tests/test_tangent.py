@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,9 +351,18 @@ def test_pairwise_substructures_equal_the_assembled_ones(monkeypatch):
 
     monkeypatch.setattr(tangent_module, "verify_direct_sum", recording)
     rungs = [ladder_structure(name) for name in ("n10", "n21", "n35", "n45i", "n56")]
-    for st in enumerate_structures(8) + rungs:
+    for st in enumerate_structures(10) + rungs:
         built.clear()
         verify_pairwise(st)
+        # the library builds its pairs and patterns unchecked: the public
+        # constructors accept each one and copy it byte for byte
+        whole = make_structure_pair(st)
+        assert SkewPair(whole.A, whole.B)._AB.tobytes() == whole._AB.tobytes(), st
+        for pair, pattern in built:
+            assert not pair._AB.flags.writeable and not pattern._masks.flags.writeable
+            assert SkewPair(pair.A, pair.B)._AB.tobytes() == pair._AB.tobytes(), st
+            assert StarPattern(pattern.n, pattern.mask_a, pattern.mask_b)._masks.tobytes() == \
+                pattern._masks.tobytes(), st
         b, k = st.blocks, len(st.blocks)
         index = [(i, i) for i in range(k)] + [(i, j) for i in range(k) for j in range(i + 1, k)]
         keys = list(dict.fromkeys((b[i],) if i == j else (b[i], b[j]) for i, j in index))
@@ -590,6 +601,20 @@ def test_each_exact_check_scales_its_pair_once(monkeypatch, tmp_path, capsys):
         assert cli.main(["verify", str(path), "--backend", backend]) == 0
     capsys.readouterr()
     assert checked.count("exact") == checked.count("float") == len(scaled) > 0
+
+
+def test_unchecked_constructors_take_only_library_built_parts():
+    # SkewPair._trusted and StarPattern._trusted skip every check, so they are
+    # called only on canonical block stacks and on patterns rendered by _pattern
+    sites = set()
+    for path in Path(skewpencil.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef):
+                sites |= {(path.stem, func.name, ast.unparse(node.func.value)) for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                          and node.func.attr == "_trusted"}
+    assert sites == {("core", "make_structure_pair", "SkewPair"), ("tangent", "verify_pairwise", "SkewPair"),
+                     ("pattern", "_pattern", "StarPattern")}
 
 
 def test_tangent_binds_one_name_of_the_exact_backend():
