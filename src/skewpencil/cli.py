@@ -91,30 +91,6 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def _verify_arguments(p):
-    p.add_argument("structure")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
-
-
-def _reduce_arguments(p):
-    p.add_argument("--base", required=True, help="structure JSON file")
-    p.add_argument("--perturbation", required=True, help="skew pair JSON file (M, R)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-
-
-#: subcommand -> (help text, function that adds its arguments, handler), in help order
-_COMMANDS = {
-    "pattern": ("print the deformation star pattern",
-                lambda p: p.add_argument("structure", help="structure JSON file"), cmd_pattern),
-    "codim": ("print the orbit codimension", lambda p: p.add_argument("structure"), cmd_codim),
-    "verify": ("tangent-space direct-sum verification", _verify_arguments, cmd_verify),
-    "reduce": ("reduce a perturbed pair to pattern form", _reduce_arguments, cmd_reduce),
-    "corpus": ("enumerate all structures up to a dimension",
-               lambda p: p.add_argument("--max-dim", type=int, required=True), cmd_corpus),
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built on the first main call and reused: parse_args never changes a parser
@@ -124,10 +100,25 @@ def _parser() -> argparse.ArgumentParser:
                     "deformation patterns, miniversality checks, reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    p = sub.add_parser("pattern", help="print the deformation star pattern")
+    p.add_argument("structure", help="structure JSON file")
+    p.set_defaults(func=cmd_pattern)
+    p = sub.add_parser("codim", help="print the orbit codimension")
+    p.add_argument("structure")
+    p.set_defaults(func=cmd_codim)
+    p = sub.add_parser("verify", help="tangent-space direct-sum verification")
+    p.add_argument("structure")
+    p.add_argument("--backend", choices=("exact", "float"), default="exact")
+    p.set_defaults(func=cmd_verify)
+    p = sub.add_parser("reduce", help="reduce a perturbed pair to pattern form")
+    p.add_argument("--base", required=True, help="structure JSON file")
+    p.add_argument("--perturbation", required=True, help="skew pair JSON file (M, R)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.set_defaults(func=cmd_reduce)
+    p = sub.add_parser("corpus", help="enumerate all structures up to a dimension")
+    p.add_argument("--max-dim", type=int, required=True)
+    p.set_defaults(func=cmd_corpus)
     return parser
 
 

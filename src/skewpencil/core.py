@@ -33,6 +33,13 @@ SKEW_RTOL = 1e-12
 LAMBDA_TOL = 1e-10
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int: anything with ``__index__`` but a bool, else a ValueError naming ``what``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def make_jordan(n: int, lam: complex) -> np.ndarray:
     """n-by-n upper bidiagonal block: lam on the diagonal, 1 above it."""
     if n < 1:
@@ -87,9 +94,7 @@ class CanonicalBlock:
     def __post_init__(self):
         if self.kind not in ("H", "K", "L"):
             raise ValueError(f"unknown block kind {self.kind!r}")
-        if isinstance(self.n, bool) or not hasattr(type(self.n), "__index__"):
-            raise ValueError(f"block size n must be an integer, got {self.n!r}")
-        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "n", _index(self.n, "block size n"))
         if self.kind in ("H", "K") and self.n < 1:
             raise ValueError(f"{self.kind} block needs n >= 1")
         if self.kind == "L" and self.n < 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CanonicalBlock, CanonicalStructure, _on_diagonal
+from .core import CanonicalBlock, CanonicalStructure, _index, _on_diagonal
 
 SHAPE_TAGS = (
     "corner_nw",
@@ -148,7 +148,7 @@ def offdiag_block(bi: CanonicalBlock, bj: CanonicalBlock) -> tuple[np.ndarray, n
 
 
 class StarPattern:
-    """Deformation masks of a whole structure: symmetric, no diagonal stars (else ValueError).
+    """Deformation masks of a whole structure: integer n, symmetric, no diagonal stars (else ValueError).
 
     The pattern holds one read-only (2, n, n) bool array, ``_masks`` =
     [mask_a, mask_b], copied from the arguments and checked once;
@@ -158,6 +158,7 @@ class StarPattern:
     __slots__ = ("_masks",)
 
     def __init__(self, n: int, mask_a, mask_b):
+        n = _index(n, "n")
         masks = []
         for name, mask in (("mask_a", mask_a), ("mask_b", mask_b)):
             mask = np.asarray(mask, dtype=bool)

@@ -1,16 +1,22 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import skewpencil
 from skewpencil import (
     CanonicalBlock,
     CanonicalStructure,
+    assemble,
     enumerate_structures,
     global_from_pairwise,
     make_structure_pair,
+    matrix_from_json,
     pair_to_json,
     verify_pairwise,
 )
@@ -34,6 +40,32 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    # json.loads takes NaN, Infinity and -Infinity, which are not JSON
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# 2 H_1(i) + H_2(0) + 2 L_1 (n = 14): a non-real eigenvalue, and repeated blocks and block pairs
+REPEATED = (CanonicalBlock("H", 1, 1j),) * 2 + (CanonicalBlock("H", 2, 0.0),) + (CanonicalBlock("L", 1),) * 2
+VERIFY_FIXTURES = {
+    # H_2(-1): the first structure of the corpus with a block of size 2
+    "h2": (CanonicalBlock("H", 2, -1.0),),
+    # H_1(0) + H_1(1e-11) + L_1, unsnapped: the structure makes the two eigenvalues one
+    "close": (CanonicalBlock("H", 1, 0.0), CanonicalBlock("H", 1, 1e-11), CanonicalBlock("L", 1)),
+    "repeated": REPEATED,
+    # H_2(i) + K_2 + L_1: a K block, and a non-real remainder after the exact rank's unit-column peel
+    "hkl": (CanonicalBlock("H", 2, 1j), CanonicalBlock("K", 2), CanonicalBlock("L", 1)),
+    # 8 H_2(0) + 8 L_1 (n = 56): 136 block pairs, 5 of them distinct
+    "n56": (CanonicalBlock("H", 2, 0.0),) * 8 + (CanonicalBlock("L", 1),) * 8,
+    # H_2(0.1) + H_1(1/3) + H_1(0.1 + 0.7i) + K_1 + L_1 (n = 13): eigenvalues that are not
+    # dyadic, so the exact backend scales every entry by a denominator far from 1
+    "nondyadic": (CanonicalBlock("H", 2, 0.1), CanonicalBlock("H", 1, 1 / 3), CanonicalBlock("H", 1, 0.1 + 0.7j),
+                  CanonicalBlock("K", 1), CanonicalBlock("L", 1)),
+}
 
 
 def test_pattern_command(tmp_path, capsys):
@@ -143,17 +175,41 @@ def test_reduce_zero_perturbation(tmp_path, capsys):
     assert obj["pattern_supported"]
 
 
+@pytest.mark.parametrize("name", VERIFY_FIXTURES)
+def test_verify_backends_print_the_same_report(tmp_path, capsys, name):
+    blocks = VERIFY_FIXTURES[name]
+    _, path = write_structure(tmp_path, blocks)
+    code, out, err = exact = run(capsys, ["verify", str(path), "--backend", "exact"])
+    assert (code, err) == (0, "")
+    assert run(capsys, ["verify", str(path), "--backend", "float"]) == exact
+    report = strict_json(out)
+    assert report["all_ok"] is True
+    assert len(report["pairwise"]) == len(blocks) * (len(blocks) + 1) // 2
+    pattern, codim = (run(capsys, [command, str(path)]) for command in ("pattern", "codim"))
+    assert pattern[0] == codim[0] == 0
+    assert strict_json(pattern[1])["params"] == strict_json(codim[1])
+
+
 def test_reduce_random_perturbation(tmp_path, capsys):
+    # the printed S moves base + perturbation onto the pattern: the off-pattern norm of
+    # S^T (base + perturbation) S - base, recomputed here, is at most tol
     rng = np.random.default_rng(4)
-    st, spath = write_structure(tmp_path, (CanonicalBlock("K", 2),))
-    pert = random_skew_pair(rng, 4, scale=1e-3)
-    ppath = tmp_path / "pert.json"
-    ppath.write_text(json.dumps(pair_to_json(pert)))
-    code, out, _ = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["converged"]
-    assert obj["iterations"][-1]["off_pattern_norm"] <= 1e-10
+    for blocks, scale in (((CanonicalBlock("K", 2),), 1e-3), (VERIFY_FIXTURES["h2"], 1e-4), (REPEATED, 1e-4)):
+        st, spath = write_structure(tmp_path, blocks)
+        pert = random_skew_pair(rng, st.dim, scale=scale)
+        ppath = tmp_path / "pert.json"
+        ppath.write_text(json.dumps(pair_to_json(pert)))
+        code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)])
+        assert (code, err) == (0, "")
+        obj = strict_json(out)
+        assert obj["converged"] and obj["iterations"]
+        assert all(it["sweeps"] >= 1 for it in obj["iterations"])
+        assert obj["iterations"][-1]["off_pattern_norm"] <= 1e-10
+        base, pattern = make_structure_pair(st), assemble(st)
+        S = matrix_from_json(obj["S"])
+        A = S.T @ (base.A + pert.A) @ S - base.A
+        B = S.T @ (base.B + pert.B) @ S - base.B
+        assert np.hypot(np.linalg.norm(A[~pattern.mask_a]), np.linalg.norm(B[~pattern.mask_b])) <= obj["tol"]
 
 
 def test_reduce_dimension_mismatch_exits_2(tmp_path, capsys):
@@ -171,13 +227,13 @@ def test_corpus_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["corpus", "--max-dim", "6"])
     assert code == 0
     lines = out.strip().splitlines()
-    header = json.loads(lines[0])
+    header = strict_json(lines[0])
     assert header == {"count": 173, "max_dim": 6}
     assert len(lines) == 1 + header["count"]
     # every line parses back into a structure of dimension <= 6
     dims = []
     for line in lines[1:]:
-        obj = json.loads(line)
+        obj = strict_json(line)
         st = CanonicalStructure(tuple(
             CanonicalBlock(b["kind"], b["n"], complex(*b.get("lambda", [0, 0])))
             for b in obj["blocks"]))
@@ -378,10 +434,12 @@ def _exit(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
+#: the subcommands, in help order
+COMMANDS = ["pattern", "codim", "verify", "reduce", "corpus"]
 # each ends in argparse: help, or an error that names the usage or the argument
 PARSER_ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["-h", "verify"],
-    *([command, "-h"] for command in cli._COMMANDS),
+    *([command, "-h"] for command in COMMANDS),
     ["verify"], ["verify", "x", "--backend", "z"], ["reduce", "--base", "x"], ["corpus", "--max-dim", "q"],
     ["codim", "a", "b"], ["verify", "x", "--bogus"],
 ]
@@ -397,12 +455,35 @@ def test_one_subparser_parses_as_all_five(capsys, monkeypatch, argv):
 
 
 def test_errors_name_the_command_argument(capsys, monkeypatch):
+    # exit 2, empty stdout, and on stderr the full usage line and the error
     monkeypatch.setenv("COLUMNS", "80")
-    assert _exit(capsys, main, [])[2].endswith("error: the following arguments are required: command\n")
-    assert "error: argument command: invalid choice: 'bogus'" in _exit(capsys, main, ["bogus"])[2]
-    assert _exit(capsys, main, ["codim", "a", "b"])[2] == (
-        "usage: skewpencil [-h] {pattern,codim,verify,reduce,corpus} ...\n"
-        "skewpencil: error: unrecognized arguments: b\n")
+    for argv, error in (([], "the following arguments are required: command"),
+                        (["bogus"], "argument command: invalid choice: 'bogus'"),
+                        (["codim", "a", "b"], "unrecognized arguments: b")):
+        code, out, err = _exit(capsys, main, argv)
+        usage, line = err.splitlines()
+        assert (code, out, usage) == (2, "", "usage: skewpencil [-h] {pattern,codim,verify,reduce,corpus} ...")
+        # the list of choices after an invalid one is worded differently across Python versions
+        assert line.partition(" (choose from")[0] == f"skewpencil: error: {error}", argv
+
+
+def test_exit_codes_through_a_process(tmp_path):
+    # python -m skewpencil.cli hands main's return value to sys.exit
+    _, spath = write_structure(tmp_path, REPEATED)
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps(pair_to_json(random_skew_pair(np.random.default_rng(0), 14, scale=1e-4))))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(skewpencil.__file__))}
+
+    def process(*argv):
+        return subprocess.run([sys.executable, "-m", "skewpencil.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    assert process("codim", str(spath)).returncode == 0
+    # the reduction needs two steps, so one step leaves it unconverged
+    assert process("reduce", "--base", str(spath), "--perturbation", str(ppath), "--max-iter", "1").returncode == 1
+    missing = process("codim", str(tmp_path / "missing.json"))
+    assert (missing.returncode, missing.stdout) == (2, "")
+    assert len(missing.stderr.splitlines()) == 1
 
 
 def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
@@ -416,8 +497,8 @@ def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
     cli._parser.cache_clear()
     _, path = write_structure(tmp_path, (CanonicalBlock("H", 1),))
     assert run(capsys, ["codim", str(path)])[:2] == (0, "1\n")
-    assert names == list(cli._COMMANDS)
+    assert names == COMMANDS
     assert run(capsys, ["pattern", str(path)])[0] == 0
     assert _exit(capsys, main, ["-h"])[0] == 0
     assert _exit(capsys, main, ["bogus"])[0] == 2
-    assert names == list(cli._COMMANDS)
+    assert names == COMMANDS

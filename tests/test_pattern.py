@@ -254,13 +254,17 @@ def test_pattern_accessors():
 
 def test_pattern_rejects_asymmetric_and_diagonal_stars():
     # params counts the strictly-upper stars, so a star needs its mirror and no
-    # star may sit on the diagonal
+    # star may sit on the diagonal; n is an integer, as a block size is
     zero = np.zeros((2, 2), dtype=bool)
     lone = np.array([[False, True], [False, False]])
     for mask_a, mask_b in ((zero, lone), (lone.T, zero), (zero, np.eye(2, dtype=bool))):
         with pytest.raises(ValueError):
             StarPattern(2, mask_a, mask_b)
+    for n, mask in ((2.0, zero), (True, np.zeros((1, 1), dtype=bool))):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            StarPattern(n, mask, mask)
     assert StarPattern(2, zero, lone | lone.T).params == 1
+    assert StarPattern(np.int64(2), zero, lone | lone.T).n == 2
 
 
 def test_pattern_copies_the_callers_masks():
