@@ -196,8 +196,17 @@ class SkewPair:
         return SkewPair._of(self._AB - other._AB)
 
     def norm(self) -> float:
-        """Frobenius norm of the pair, sqrt(||A||^2 + ||B||^2)."""
-        return float(np.sqrt(np.linalg.norm(self.A) ** 2 + np.linalg.norm(self.B) ** 2))
+        """Frobenius norm of the pair, sqrt(||A||^2 + ||B||^2).
+
+        numpy's norm squares the entries, so it overflows once they pass about
+        1e154; the sum is then taken again over the entries divided by their
+        largest real or imaginary part, and is inf only past the float range.
+        """
+        value = float(np.sqrt(np.linalg.norm(self.A) ** 2 + np.linalg.norm(self.B) ** 2))
+        if not np.isfinite(value):
+            scale = np.abs(self._AB.view(float)).max()
+            value = float(scale * np.linalg.norm(self._AB / scale))
+        return value
 
 
 def _components(adj: np.ndarray) -> np.ndarray:

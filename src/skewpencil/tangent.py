@@ -19,7 +19,10 @@ corrections of :mod:`~skewpencil.reduction` all use one base chart per
 (base pair, pattern), an :class:`OffPatternSolver`: the minimum-norm chart
 (A + E, B + E') |-> S^T (A + E, B + E') S around the base, which factors
 the off-pattern Gram matrix at the base once and never forms the tangent
-matrix.  :func:`_chart` keeps the last one built.
+matrix.  :func:`_chart` keeps the last one built.  The inverse of each
+distinct Gram piece is computed once per process and shared by every chart
+that meets an equal piece; the table of inverses holds up to
+``GRAM_TABLE_BYTES``, oldest dropped first.
 """
 
 from __future__ import annotations
@@ -98,6 +101,32 @@ def float_rank(M: np.ndarray) -> int:
 SOLVE_RTOL = 1e-15
 #: cap on preconditioned conjugate-gradient sweeps per correction solve
 MAX_SWEEPS = 200
+#: bytes of Gram keys and inverses kept across charts (the dim <= 10 corpus needs about 6 MB)
+GRAM_TABLE_BYTES = 16 * 2**20
+
+#: the read-only, Fortran-ordered transpose of G^-1 for each non-singular chart
+#: Gram piece G, keyed on the bytes of G, oldest first; see :class:`OffPatternSolver`
+_GRAM_INVERSES: dict[bytes, np.ndarray] = {}
+
+
+def _store_inverses(new: dict[bytes, np.ndarray]) -> None:
+    """Add a chart's new inverses to the table, then drop the oldest past GRAM_TABLE_BYTES.
+
+    Safe under threads without a lock: ``list`` copies the table in one
+    step, and ``pop(key, None)`` passes over an entry that another thread
+    has dropped already.  An entry is a function of its key, so a key
+    stored twice holds equal arrays.
+    """
+    if not new:
+        return
+    _GRAM_INVERSES.update(new)
+    entries = list(_GRAM_INVERSES.items())
+    total = sum(len(key) + g_inv_t.nbytes for key, g_inv_t in entries)
+    for key, g_inv_t in entries:
+        if total <= GRAM_TABLE_BYTES:
+            break
+        _GRAM_INVERSES.pop(key, None)
+        total -= len(key) + g_inv_t.nbytes
 
 
 def _conj_row(pair: SkewPair) -> np.ndarray:
@@ -118,12 +147,18 @@ class OffPatternSolver:
     the unordered pairs {a, b} of connected components of the nonzero graph
     of A | B at the base (:func:`~skewpencil.core._components`, numbered by
     smallest index), and the off coordinates of output block (a, b) depend
-    only on X_ab and X_ba.  Each piece's Gram matrix is inverted once
-    through its singular value decomposition; equal Gram matrices (repeated
-    blocks) share one factorisation.  A singular piece means that the
-    tangent space and the star directions do not span the skew pairs, so
-    some C has no pattern-form representative; it raises
-    :class:`DirectSumError`.  From G^-1, :meth:`_project` and
+    only on X_ab and X_ba.  Each piece's Gram matrix is inverted through
+    its singular value decomposition, once per process: equal Gram matrices
+    (repeated blocks, and equal block pairs in other bases) share one
+    read-only inverse, kept in a table keyed on the Gram's bytes and
+    bounded by ``GRAM_TABLE_BYTES``, oldest dropped first.  Only the pieces
+    missing from it are factored, and only once every piece of the chart
+    has passed are they stored.  A piece's inverse does not depend on the
+    other pieces factored with it, so a chart is bit for bit the same from
+    a cold or a warm table.  A singular piece means that the tangent space
+    and the star directions do not span the skew pairs, so some C has no
+    pattern-form representative; it raises :class:`DirectSumError`, and
+    the table is left as it was.  From G^-1, :meth:`_project` and
     :meth:`schedule_c` work at the base without iterating, and
     :meth:`solve` at a nearby pair P runs conjugate gradients on the Gram
     system at P, preconditioned with G^-1.
@@ -149,6 +184,8 @@ class OffPatternSolver:
         H = self._AB_bar.conj().T @ self._AB_bar  # [A | B]^T conj([A | B])
         wi, wj = w * n + i, w * n + j
         self._pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        # inverses factored by this chart; stored only once every piece has passed
+        new: dict[bytes, np.ndarray] = {}
         for size in sorted(set(sizes.tolist())):
             rows = order[starts[sizes == size][:, None] + np.arange(size)]
             r_i, r_j, r_wi, r_wj = (x[rows][:, :, None] for x in (i, j, wi, wj))
@@ -159,22 +196,32 @@ class OffPatternSolver:
             distinct: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
             for g, r in zip(grams, rows):
                 distinct.setdefault(g.tobytes(), (g, []))[1].append(r)
-            pieces = list(distinct.values())
-            U, sigma, Vh = np.linalg.svd(np.stack([g for g, _ in pieces]))
-            # a Gram matrix is positive semidefinite; it is definite unless singular
-            # at numpy's matrix_rank cut-off
-            cut = size * np.finfo(float).eps
-            singular = np.nonzero(sigma[:, -1] <= sigma[:, 0] * cut)[0]
-            if singular.size:
-                k = singular[0]
-                first = pieces[k][1][0][0]
-                a, b = sorted((int(label[i[first]]), int(label[j[first]])))
-                raise DirectSumError(f"piece ({a}, {b}): the off-pattern Gram matrix of base "
-                                     f"components {a} and {b} is not positive definite: "
-                                     f"sigma_min {sigma[k, -1]:.3e} <= sigma_max {sigma[k, 0]:.3e} "
-                                     f"* size*eps {cut:.3e}")
-            G_inv = (Vh.conj().swapaxes(-1, -2) / sigma[:, None, :]) @ U.conj().swapaxes(-1, -2)
-            self._pieces += [(g_inv.T, np.stack(r)) for g_inv, (_, r) in zip(G_inv, pieces)]
+            # read each entry once: another thread may evict it meanwhile
+            inverses = {key: _GRAM_INVERSES.get(key) for key in distinct}
+            missing = [key for key, g_inv_t in inverses.items() if g_inv_t is None]
+            if missing:
+                U, sigma, Vh = np.linalg.svd(np.stack([distinct[key][0] for key in missing]))
+                # a Gram matrix is positive semidefinite; it is definite unless singular
+                # at numpy's matrix_rank cut-off
+                cut = size * np.finfo(float).eps
+                singular = np.nonzero(sigma[:, -1] <= sigma[:, 0] * cut)[0]
+                if singular.size:
+                    k = singular[0]
+                    first = distinct[missing[k]][1][0][0]
+                    a, b = sorted((int(label[i[first]]), int(label[j[first]])))
+                    raise DirectSumError(f"piece ({a}, {b}): the off-pattern Gram matrix of base "
+                                         f"components {a} and {b} is not positive definite: "
+                                         f"sigma_min {sigma[k, -1]:.3e} <= sigma_max {sigma[k, 0]:.3e} "
+                                         f"* size*eps {cut:.3e}")
+                G_inv = (Vh.conj().swapaxes(-1, -2) / sigma[:, None, :]) @ U.conj().swapaxes(-1, -2)
+                for key, g_inv in zip(missing, G_inv):
+                    # a copy in the transpose's own (Fortran) layout: the products in
+                    # _precondition then run as they would on the batch's view
+                    g_inv_t = g_inv.T.copy(order="F")
+                    g_inv_t.flags.writeable = False
+                    inverses[key] = new[key] = g_inv_t
+            self._pieces += [(inverses[key], np.stack(r)) for key, (_, r) in distinct.items()]
+        _store_inverses(new)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         z = np.empty_like(r)

@@ -385,6 +385,18 @@ def test_reduce_non_finite_document_exits_2(tmp_path, capsys):
     assert line.startswith("skewpencil: error: Out of range float values are not JSON compliant")
 
 
+def test_reduce_prints_finite_norms_past_the_squared_float_range(tmp_path, capsys):
+    # H_1(1e160): the reduced D.B has entries near 1e157, whose squares overflow, yet its norm is finite
+    _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 1e160),))
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps(pair_to_json(random_skew_pair(np.random.default_rng(0), 2, scale=1e-3))))
+    code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath)])
+    assert (code, err) == (0, "")
+    obj = strict_json(out)
+    assert obj["converged"]
+    assert all(1e156 < it["full_norm"] < np.inf for it in obj["iterations"])
+
+
 def test_reduce_chart_refusal_exits_2_with_the_piece(tmp_path, capsys):
     # H_2(0) + H_2(5e-3): the base chart's Gram piece of the two blocks is singular at its cut-off
     st, spath = write_structure(tmp_path, (CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 5e-3)))

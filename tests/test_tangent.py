@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -568,6 +570,99 @@ def test_chart_memo_follows_content():
     assert again is chart
     assert _chart(b1, p1x) is not chart
     assert _chart(b1, p1) is not chart  # one slot: p1x replaced it
+
+
+def chart_outputs(base, pattern, rng):
+    """Bytes of a fresh chart's projection, correction solve and schedule constant, or its refusal."""
+    try:
+        chart = OffPatternSolver(base, pattern)
+    except DirectSumError as err:
+        return str(err)
+    n = base.n
+    C = random_skew_pair(rng, n, scale=1.0 if n > 1 else None)
+    P = base + random_skew_pair(rng, n, scale=1e-3 if n > 1 else None)
+    X, W = chart._project(C)
+    Y, residual, sweeps = chart.solve(P, C)
+    return X.tobytes(), W.tobytes(), Y.tobytes(), residual, sweeps, chart.schedule_c()
+
+
+def table_bytes(table):
+    return sum(len(key) + g.nbytes for key, g in table.items())
+
+
+@pytest.fixture
+def gram_table(monkeypatch):
+    """An empty table of inverse Gram pieces, in place of the process's own for one test."""
+    table = {}
+    monkeypatch.setattr(tangent_module, "_GRAM_INVERSES", table)
+    return table
+
+
+@pytest.mark.parametrize("bound", [None, 40_000], ids=["default-bound", "40kB-bound"])
+def test_chart_from_the_gram_table_equals_a_cold_chart(gram_table, monkeypatch, bound):
+    if bound is not None:
+        monkeypatch.setattr(tangent_module, "GRAM_TABLE_BYTES", bound)
+    bases = [(make_structure_pair(st), assemble(st)) for st in
+             [ladder_structure(name) for name in ("n10", "n21", "n35", "n45i")] + enumerate_structures(6)]
+    cold = []
+    for k, (base, pattern) in enumerate(bases):
+        gram_table.clear()
+        cold.append(chart_outputs(base, pattern, np.random.default_rng(k)))
+    # warm: every base is charted once, then each again with the others' pieces in the table
+    for base, pattern in bases:
+        chart_outputs(base, pattern, np.random.default_rng(0))
+    for k, (base, pattern) in enumerate(bases):
+        assert chart_outputs(base, pattern, np.random.default_rng(k)) == cold[k], k
+        assert table_bytes(gram_table) <= tangent_module.GRAM_TABLE_BYTES
+    assert gram_table
+    # each entry is its own read-only array, not a view of a batch, laid out as the
+    # transposed view was: a C-ordered copy changes the bits of the products
+    assert all(g.flags.owndata and g.flags.f_contiguous and not g.flags.writeable for g in gram_table.values())
+
+
+def test_gram_table_shared_by_threads(gram_table, monkeypatch):
+    # more threads than cores chart bases that share pieces, with a bound that evicts on
+    # most stores: each chart still equals its cold chart, and the table keeps its bound
+    monkeypatch.setattr(tangent_module, "GRAM_TABLE_BYTES", 40_000)
+    bases = [(make_structure_pair(st), assemble(st)) for st in enumerate_structures(6)[::3]]
+    cold = []
+    for k, (base, pattern) in enumerate(bases):
+        gram_table.clear()
+        cold.append(chart_outputs(base, pattern, np.random.default_rng(k)))
+    mismatches, done = [], []
+
+    def work(t):
+        for k in [*range(t, len(bases)), *range(t)] * 2:
+            if chart_outputs(*bases[k], np.random.default_rng(k)) != cold[k]:
+                mismatches.append(k)
+        done.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+    assert 0 < table_bytes(gram_table) <= 40_000
+
+
+def test_refused_chart_stores_no_gram_piece(gram_table):
+    # H_2(0) + H_2(5e-3): the two blocks' piece is singular; the blocks' own pieces are not
+    st = CanonicalStructure((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 2, 5e-3)))
+    base, pattern = make_structure_pair(st), assemble(st)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DirectSumError, match=r"^piece \(0, 1\)") as err:
+            OffPatternSolver(base, pattern)
+        messages.append(str(err.value))
+        assert gram_table == {}
+    assert messages[0] == messages[1]
 
 
 def test_exact_verify_ranks_equal_the_unpeeled_reference(monkeypatch):
