@@ -196,17 +196,22 @@ class SkewPair:
         return SkewPair._of(self._AB - other._AB)
 
     def norm(self) -> float:
-        """Frobenius norm of the pair, sqrt(||A||^2 + ||B||^2).
+        """Frobenius norm of the pair, sqrt(||A||^2 + ||B||^2); see :func:`_scaled_norm` past 1e154."""
+        with np.errstate(over="ignore"):
+            value = float(np.sqrt(np.linalg.norm(self.A) ** 2 + np.linalg.norm(self.B) ** 2))
+            return value if np.isfinite(value) else _scaled_norm(self._AB)
 
-        numpy's norm squares the entries, so it overflows once they pass about
-        1e154; the sum is then taken again over the entries divided by their
-        largest real or imaginary part, and is inf only past the float range.
-        """
-        value = float(np.sqrt(np.linalg.norm(self.A) ** 2 + np.linalg.norm(self.B) ** 2))
-        if not np.isfinite(value):
-            scale = np.abs(self._AB.view(float)).max()
-            value = float(scale * np.linalg.norm(self._AB / scale))
-        return value
+
+def _scaled_norm(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array whose squared norm overflows.
+
+    numpy's norm squares the entries, so it overflows once they pass about
+    1e154; here the sum is taken over the entries divided by their largest
+    real or imaginary part, so the norm is inf only past the float range.
+    Call it under ``np.errstate(over="ignore")``: that last overflow warns.
+    """
+    scale = max(np.abs(x.real).max(), np.abs(x.imag).max())
+    return float(scale * np.linalg.norm(x / scale))
 
 
 def _components(adj: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SkewPair, congruence, matrix_to_json, pair_to_json
+from .core import SkewPair, _scaled_norm, congruence, matrix_to_json, pair_to_json
 from .pattern import StarPattern
 from .tangent import _chart
 
@@ -29,12 +29,13 @@ DEFAULT_MAX_ITER = 30
 
 
 def pair_off_norm(delta: SkewPair, pattern: StarPattern) -> float:
-    """Frobenius norm of a pair over the non-star positions."""
+    """Frobenius norm of a pair over the non-star positions; see :func:`~skewpencil.core._scaled_norm` past 1e154."""
     if pattern.n != delta.n:
         raise ValueError("pattern dimension does not match pair")
-    a = np.linalg.norm(delta.A[~pattern.mask_a])
-    b = np.linalg.norm(delta.B[~pattern.mask_b])
-    return float(np.hypot(a, b))
+    a, b = delta.A[~pattern.mask_a], delta.B[~pattern.mask_b]
+    with np.errstate(over="ignore"):
+        value = float(np.hypot(np.linalg.norm(a), np.linalg.norm(b)))
+        return value if np.isfinite(value) else _scaled_norm(np.concatenate((a, b)))
 
 
 @dataclass(frozen=True)

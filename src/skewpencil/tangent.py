@@ -151,11 +151,11 @@ class OffPatternSolver:
     its singular value decomposition, once per process: equal Gram matrices
     (repeated blocks, and equal block pairs in other bases) share one
     read-only inverse, kept in a table keyed on the Gram's bytes and
-    bounded by ``GRAM_TABLE_BYTES``, oldest dropped first.  Only the pieces
-    missing from it are factored, and only once every piece of the chart
-    has passed are they stored.  A piece's inverse does not depend on the
-    other pieces factored with it, so a chart is bit for bit the same from
-    a cold or a warm table.  A singular piece means that the tangent space
+    bounded by ``GRAM_TABLE_BYTES``, oldest dropped first.  Each piece
+    missing from it is factored on its own, and the new inverses are stored
+    only once every piece of the chart has passed.  An inverse depends on
+    its Gram's bytes alone, so a chart is bit for bit the same from a cold
+    or a warm table.  A singular piece means that the tangent space
     and the star directions do not span the skew pairs, so some C has no
     pattern-form representative; it raises :class:`DirectSumError`, and
     the table is left as it was.  From G^-1, :meth:`_project` and
@@ -183,44 +183,39 @@ class OffPatternSolver:
         # is a signed sum of entries of H, H[w*n + p, v*n + q] = (M_w^T conj(M_v))[p, q]
         H = self._AB_bar.conj().T @ self._AB_bar  # [A | B]^T conj([A | B])
         wi, wj = w * n + i, w * n + j
-        self._pieces: list[tuple[np.ndarray, np.ndarray]] = []
-        # inverses factored by this chart; stored only once every piece has passed
-        new: dict[bytes, np.ndarray] = {}
+        # equal pieces (repeated blocks) have equal Gram matrices and share one inverse;
+        # the bytes of Grams of different sizes differ in length, so one dict keys every size
+        distinct: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
         for size in sorted(set(sizes.tolist())):
             rows = order[starts[sizes == size][:, None] + np.arange(size)]
             r_i, r_j, r_wi, r_wj = (x[rows][:, :, None] for x in (i, j, wi, wj))
             s_i, s_j, s_wi, s_wj = (x[rows][:, None, :] for x in (i, j, wi, wj))
             grams = ((r_i == s_i) * H[r_wj, s_wj] - (r_i == s_j) * H[r_wj, s_wi]
                      - (r_j == s_i) * H[r_wi, s_wj] + (r_j == s_j) * H[r_wi, s_wi]) + 0.0
-            # equal pieces (repeated blocks) have equal Gram matrices and share one factor
-            distinct: dict[bytes, tuple[np.ndarray, list[np.ndarray]]] = {}
             for g, r in zip(grams, rows):
                 distinct.setdefault(g.tobytes(), (g, []))[1].append(r)
-            # read each entry once: another thread may evict it meanwhile
-            inverses = {key: _GRAM_INVERSES.get(key) for key in distinct}
-            missing = [key for key, g_inv_t in inverses.items() if g_inv_t is None]
-            if missing:
-                U, sigma, Vh = np.linalg.svd(np.stack([distinct[key][0] for key in missing]))
+        self._pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        # inverses factored by this chart; stored only once every piece has passed
+        new: dict[bytes, np.ndarray] = {}
+        for key, (g, rows) in distinct.items():
+            g_inv_t = _GRAM_INVERSES.get(key)  # read once: another thread may evict it meanwhile
+            if g_inv_t is None:
+                U, sigma, Vh = np.linalg.svd(g)
                 # a Gram matrix is positive semidefinite; it is definite unless singular
                 # at numpy's matrix_rank cut-off
-                cut = size * np.finfo(float).eps
-                singular = np.nonzero(sigma[:, -1] <= sigma[:, 0] * cut)[0]
-                if singular.size:
-                    k = singular[0]
-                    first = distinct[missing[k]][1][0][0]
-                    a, b = sorted((int(label[i[first]]), int(label[j[first]])))
+                cut = len(g) * np.finfo(float).eps
+                if sigma[-1] <= sigma[0] * cut:
+                    a, b = sorted((int(label[i[rows[0][0]]]), int(label[j[rows[0][0]]])))
                     raise DirectSumError(f"piece ({a}, {b}): the off-pattern Gram matrix of base "
                                          f"components {a} and {b} is not positive definite: "
-                                         f"sigma_min {sigma[k, -1]:.3e} <= sigma_max {sigma[k, 0]:.3e} "
+                                         f"sigma_min {sigma[-1]:.3e} <= sigma_max {sigma[0]:.3e} "
                                          f"* size*eps {cut:.3e}")
-                G_inv = (Vh.conj().swapaxes(-1, -2) / sigma[:, None, :]) @ U.conj().swapaxes(-1, -2)
-                for key, g_inv in zip(missing, G_inv):
-                    # a copy in the transpose's own (Fortran) layout: the products in
-                    # _precondition then run as they would on the batch's view
-                    g_inv_t = g_inv.T.copy(order="F")
-                    g_inv_t.flags.writeable = False
-                    inverses[key] = new[key] = g_inv_t
-            self._pieces += [(inverses[key], np.stack(r)) for key, (_, r) in distinct.items()]
+                # a copy in the transpose's own (Fortran) layout: a C-ordered copy
+                # changes the bits of the products in _precondition
+                g_inv_t = ((Vh.conj().T / sigma) @ U.conj().T).T.copy(order="F")
+                g_inv_t.flags.writeable = False
+                new[key] = g_inv_t
+            self._pieces.append((g_inv_t, np.stack(rows)))
         _store_inverses(new)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:

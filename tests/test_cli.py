@@ -373,9 +373,9 @@ def test_reduce_overflow_exits_2_with_one_error_line(tmp_path, capsys):
 
 
 def test_reduce_non_finite_document_exits_2(tmp_path, capsys):
-    # the entries are finite, but the initial norms overflow: Infinity is not JSON
+    # the entries are finite, but the initial norms (about 2e308) overflow: Infinity is not JSON
     _, spath = write_structure(tmp_path, (CanonicalBlock("H", 1, 0.0),))
-    big = {"rows": 2, "cols": 2, "entries": [[0, 0], [1e200, 0], [-1e200, 0], [0, 0]]}
+    big = {"rows": 2, "cols": 2, "entries": [[0, 0], [1e308, 0], [-1e308, 0], [0, 0]]}
     ppath = tmp_path / "pert.json"
     ppath.write_text(json.dumps({"n": 2, "A": big, "B": big}))
     code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath),
@@ -395,6 +395,20 @@ def test_reduce_prints_finite_norms_past_the_squared_float_range(tmp_path, capsy
     obj = strict_json(out)
     assert obj["converged"]
     assert all(1e156 < it["full_norm"] < np.inf for it in obj["iterations"])
+
+
+def test_reduce_prints_a_finite_off_pattern_norm_past_the_squared_float_range(tmp_path, capsys):
+    # L_1 moved by 1e160 off the stars: the squared entries overflow, the norms (1.414e160) do not
+    _, spath = write_structure(tmp_path, (CanonicalBlock("L", 1),))
+    big = {"rows": 3, "cols": 3, "entries": [[0, 0], [1e160, 0], [0, 0], [-1e160, 0]] + [[0, 0]] * 5}
+    zero = {"rows": 3, "cols": 3, "entries": [[0, 0]] * 9}
+    ppath = tmp_path / "pert.json"
+    ppath.write_text(json.dumps({"n": 3, "A": big, "B": zero}))
+    code, out, err = run(capsys, ["reduce", "--base", str(spath), "--perturbation", str(ppath),
+                                  "--max-iter", "0"])
+    assert (code, err) == (1, "")
+    obj = strict_json(out)
+    assert obj["initial_off_pattern_norm"] == obj["initial_full_norm"] == pytest.approx(np.sqrt(2) * 1e160)
 
 
 def test_reduce_chart_refusal_exits_2_with_the_piece(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,18 @@ def test_pair_off_norm_reads_the_masks():
     assert pair_off_norm(SkewPair(M, M), pat) == pytest.approx(np.sqrt(98))
     with pytest.raises(ValueError, match="pattern dimension does not match pair"):
         pair_off_norm(SkewPair(np.zeros((3, 3)), np.zeros((3, 3))), pat)
+
+
+def test_norms_past_the_squared_float_range_are_finite_and_silent():
+    # squaring 1e160 overflows; the norms themselves are 1.414e160
+    A = np.zeros((3, 3))
+    A[0, 1], A[1, 0] = 1e160, -1e160
+    delta, pat = SkewPair(A, np.zeros((3, 3))), assemble(CanonicalStructure((CanonicalBlock("L", 1),)))
+    assert not pat.mask_a[0, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        norms = pair_off_norm(delta, pat), delta.norm()
+    assert norms == pytest.approx((np.sqrt(2) * 1e160,) * 2, rel=1e-15)
 
 
 def test_chart_refusal_states_the_singular_value_test():

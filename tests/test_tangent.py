@@ -620,6 +620,30 @@ def test_chart_from_the_gram_table_equals_a_cold_chart(gram_table, monkeypatch, 
     assert all(g.flags.owndata and g.flags.f_contiguous and not g.flags.writeable for g in gram_table.values())
 
 
+def test_a_chart_factors_exactly_the_grams_the_table_lacks(gram_table, monkeypatch):
+    factored, svd = [], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        factored.append(int(np.prod(np.shape(a)[:-2])))  # matrices in the call, batched or not
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+
+    def charted(name):
+        """(matrices factored, outputs) of one chart of a ladder rung."""
+        st = ladder_structure(name)
+        factored.clear()
+        outputs = chart_outputs(make_structure_pair(st), assemble(st), np.random.default_rng(0))
+        return sum(factored), outputs
+
+    count, cold = charted("n45i")
+    assert count == 28
+    assert charted("n45i") == (0, cold)  # warm: every piece is in the table
+    gram_table.clear()
+    charted("n35")
+    assert charted("n45i") == (12, cold)  # n35 shares 16 of n45i's 28 distinct Grams
+
+
 def test_gram_table_shared_by_threads(gram_table, monkeypatch):
     # more threads than cores chart bases that share pieces, with a bound that evicts on
     # most stores: each chart still equals its cold chart, and the table keeps its bound
