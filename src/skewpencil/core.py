@@ -44,10 +44,8 @@ def make_jordan(n: int, lam: complex) -> np.ndarray:
     """n-by-n upper bidiagonal block: lam on the diagonal, 1 above it."""
     if n < 1:
         raise ValueError("Jordan block size must be >= 1")
-    J = np.zeros((n, n), dtype=complex)
+    J = np.eye(n, k=1, dtype=complex)
     np.fill_diagonal(J, lam)
-    idx = np.arange(n - 1)
-    J[idx, idx + 1] = 1.0
     return J
 
 
@@ -55,20 +53,14 @@ def make_F(n: int) -> np.ndarray:
     """n-by-(n+1) matrix [I_n | 0]; n = 0 gives the empty 0x1 matrix."""
     if n < 0:
         raise ValueError("size must be >= 0")
-    F = np.zeros((n, n + 1), dtype=complex)
-    idx = np.arange(n)
-    F[idx, idx] = 1.0
-    return F
+    return np.eye(n, n + 1, dtype=complex)
 
 
 def make_G(n: int) -> np.ndarray:
     """n-by-(n+1) matrix [0 | I_n]; n = 0 gives the empty 0x1 matrix."""
     if n < 0:
         raise ValueError("size must be >= 0")
-    G = np.zeros((n, n + 1), dtype=complex)
-    idx = np.arange(n)
-    G[idx, idx + 1] = 1.0
-    return G
+    return np.eye(n, n + 1, k=1, dtype=complex)
 
 
 def skew_embed(M: np.ndarray) -> np.ndarray:
@@ -110,10 +102,8 @@ class CanonicalBlock:
         return 2 * self.n + (1 if self.kind == "L" else 0)
 
     def sort_key(self):
-        kind_rank = {"H": 0, "K": 1, "L": 2}[self.kind]
-        if self.kind == "H":
-            return (kind_rank, self.lam.real, self.lam.imag, -self.n)
-        return (kind_rank, 0.0, 0.0, -self.n)
+        # K and L blocks have lam == 0, so they sort by kind, then size descending
+        return ("HKL".index(self.kind), self.lam.real, self.lam.imag, -self.n)
 
 
 def _skew_stack(AB: np.ndarray) -> np.ndarray:
@@ -368,12 +358,6 @@ def _json_key(obj: dict, key: str, what: str):
         raise ValueError(f"{what} is missing key {key!r}") from None
 
 
-def _json_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _json_complex(value, what: str) -> complex:
     """A complex number written as an [re, im] pair of JSON numbers."""
     if (not isinstance(value, list) or len(value) != 2
@@ -387,8 +371,8 @@ def _json_complex(value, what: str) -> complex:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     obj = _json_object(obj, "matrix")
-    rows = _json_int(_json_key(obj, "rows", "matrix"), "rows")
-    cols = _json_int(_json_key(obj, "cols", "matrix"), "cols")
+    rows = _index(_json_key(obj, "rows", "matrix"), "rows")
+    cols = _index(_json_key(obj, "cols", "matrix"), "cols")
     if rows < 0 or cols < 0:
         raise ValueError(f"rows and cols must be >= 0, got rows={rows}, cols={cols}")
     entries = _json_key(obj, "entries", "matrix")
@@ -414,8 +398,12 @@ def pair_to_json(pair: SkewPair) -> dict:
 
 def pair_from_json(obj: dict) -> SkewPair:
     obj = _json_object(obj, "pair")
-    return SkewPair(matrix_from_json(_json_key(obj, "A", "pair")),
+    pair = SkewPair(matrix_from_json(_json_key(obj, "A", "pair")),
                     matrix_from_json(_json_key(obj, "B", "pair")))
+    n = _index(_json_key(obj, "n", "pair"), "pair size n")
+    if n != pair.n:
+        raise ValueError(f"pair size n is {n}, but A and B are {pair.n}x{pair.n}")
+    return pair
 
 
 def structure_to_json(structure: CanonicalStructure) -> dict:
@@ -438,7 +426,7 @@ def structure_from_json(obj: dict) -> CanonicalStructure:
         # a "lambda" on a K or L block is passed on, and CanonicalBlock refuses a nonzero one
         lam = _json_complex(s.get("lambda", [0.0, 0.0]), "lambda")
         kind, n = _json_key(s, "kind", "block"), _json_key(s, "n", "block")
-        out.append(CanonicalBlock(kind, _json_int(n, "block size n"), lam))
+        out.append(CanonicalBlock(kind, _index(n, "block size n"), lam))
     return CanonicalStructure(tuple(out))
 
 

@@ -23,24 +23,19 @@ import numpy as np
 
 from .core import CanonicalBlock, CanonicalStructure, _index, _on_diagonal
 
-SHAPE_TAGS = (
-    "corner_nw",
-    "corner_ne",
-    "corner_se",
-    "corner_sw",
-    "bottom_right_star",
-    "right_half_cap",
-    "q",
-    "q_transpose",
-)
+#: corner tag -> (its row, its column, whether a square mask stars the column)
+_CORNERS = {"corner_nw": (0, 0, True), "corner_ne": (0, -1, False),
+            "corner_se": (-1, -1, True), "corner_sw": (-1, 0, False)}
+SHAPE_TAGS = (*_CORNERS, "bottom_right_star", "right_half_cap", "q", "q_transpose")
 
 
 def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
     """Render one star-placement shape as a rows-by-cols boolean mask.
 
     Corner shapes put stars along the shortest full edge touching the named
-    corner; NE/SE/SW are rendered as the north-west shape turned clockwise
-    by 90/180/270 degrees.  On square masks the tie is fixed: NW uses
+    corner: a mask with fewer rows than columns stars the corner's column,
+    one with more rows stars its row.  NE/SE/SW are the north-west shape
+    turned clockwise by 90/180/270 degrees, so on square masks NW stars
     column 1, and the rotations move that choice to row 1 / column n / row n.
 
     ``q`` with rows < cols stars row ``rows`` at columns rows..cols-1
@@ -55,19 +50,12 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
     mask = np.zeros((rows, cols), dtype=bool)
     if rows == 0 or cols == 0:
         return mask
-    if tag == "corner_nw":
-        if rows <= cols:
-            mask[:, 0] = True
+    if tag in _CORNERS:
+        row, col, square_stars_col = _CORNERS[tag]
+        if rows < cols or (rows == cols and square_stars_col):
+            mask[:, col] = True
         else:
-            mask[0, :] = True
-    # NE/SE/SW are np.rot90(nw, -1/-2/-3), spelled as transposes and reversals,
-    # which skip np.rot90's per-call overhead
-    elif tag == "corner_ne":
-        mask = render_shape("corner_nw", cols, rows).T[:, ::-1].copy()
-    elif tag == "corner_se":
-        mask = render_shape("corner_nw", rows, cols)[::-1, ::-1].copy()
-    elif tag == "corner_sw":
-        mask = render_shape("corner_nw", cols, rows).T[::-1].copy()
+            mask[row, :] = True
     elif tag == "bottom_right_star":
         mask[rows - 1, cols - 1] = True
     elif tag == "right_half_cap":
@@ -77,7 +65,8 @@ def render_shape(tag: str, rows: int, cols: int) -> np.ndarray:
         if rows < cols:
             mask[rows - 1, rows - 1:cols - 1] = True
     elif tag == "q_transpose":
-        mask = render_shape("q", cols, rows).T.copy()
+        if cols < rows:
+            mask[cols - 1:rows - 1, cols - 1] = True
     return mask
 
 
@@ -86,8 +75,8 @@ def diag_block(block: CanonicalBlock) -> tuple[np.ndarray, np.ndarray]:
 
     H blocks star only the B part, K blocks only the A part, L blocks
     nothing.  The starred half is [[0, C], [C^T, 0]] where C is the n-by-n
-    south-west corner shape (bottom row); mirroring keeps the full mask
-    position-symmetric.
+    mask whose bottom row is starred (the south-west corner shape); its
+    mirror C^T keeps the full mask position-symmetric.
     """
     d = block.dim
     mask_a = np.zeros((d, d), dtype=bool)
@@ -95,10 +84,9 @@ def diag_block(block: CanonicalBlock) -> tuple[np.ndarray, np.ndarray]:
     if block.kind == "L":
         return mask_a, mask_b
     n = block.n
-    corner = render_shape("corner_sw", n, n)
     target = mask_b if block.kind == "H" else mask_a
-    target[:n, n:] = corner
-    target[n:, :n] = corner.T
+    target[n - 1, n:] = True
+    target[n:, n - 1] = True
     return mask_a, mask_b
 
 
@@ -109,7 +97,8 @@ def offdiag_block(bi: CanonicalBlock, bj: CanonicalBlock) -> tuple[np.ndarray, n
     forced mirror and carries no independent parameters.  Two H blocks
     share their stars only when their eigenvalues are exactly equal: a
     :class:`~skewpencil.core.CanonicalStructure` has already merged the
-    eigenvalues within ``LAMBDA_TOL`` of each other.
+    eigenvalues within ``LAMBDA_TOL`` of each other.  An H and a K block
+    share no stars.
     """
     if bi.sort_key() > bj.sort_key():
         raise ValueError("blocks must be passed in canonical order")
@@ -134,16 +123,12 @@ def offdiag_block(bi: CanonicalBlock, bj: CanonicalBlock) -> tuple[np.ndarray, n
         mask_b[:n, m:] = render_shape("q_transpose", n, m + 1)
         mask_b[n:, :m] = render_shape("q", n + 1, m)
         mask_b[n:, m:] = render_shape("right_half_cap", n + 1, m + 1)
-    elif kinds == ("H", "K"):
-        pass
     elif kinds == ("H", "L"):
         # stars in the first column of the right di x (m+1) half of B
         mask_b[:, m] = True
     elif kinds == ("K", "L"):
         # stars in the last column of the right half of A
         mask_a[:, 2 * m] = True
-    else:
-        raise ValueError(f"unsupported block kinds {kinds}")
     return mask_a, mask_b
 
 

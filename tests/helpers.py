@@ -2,9 +2,10 @@
 
 The tangent matrix here is built by brute force (explicit elementary
 matrices and full products), ranks come straight from numpy's SVD or from
-plain Gaussian elimination over the rationals, and the structure counter
-is a plain partition-style DP.  The minimum-norm projection and Newton
-correction are dense least-squares solves on the brute-force tangent
+plain Gaussian elimination over the rationals, the structure counter
+is a plain partition-style DP, and the codimension count is a closed form
+in the block sizes that renders no mask.  The minimum-norm projection and
+Newton correction are dense least-squares solves on the brute-force tangent
 matrix, the schedule constant is read off its dense pseudo-inverse, and
 the direct-sum intersection is rank_T + p - rank[T | D], with D one unit
 column per star; none of them share code with the package paths they
@@ -214,6 +215,30 @@ def random_skew_pair(rng, n: int, scale: float | None = None) -> SkewPair:
         if nrm > 0:
             A, B = A * (scale / nrm), B * (scale / nrm)
     return SkewPair(A, B)
+
+
+def codimension_count(structure) -> int:
+    """Closed-form orbit codimension of a canonical structure, read off its block sizes.
+
+    For each eigenvalue (K blocks count as infinity), with H or K sizes
+    q1 >= q2 >= ...: q1 + 5 q2 + 9 q3 + ...; for each pair of L blocks
+    L_a, L_b: a + b + 2 + max(0, |a - b| - 1); plus the total dimension of
+    the H and K blocks times the number of L blocks.  Eigenvalues are
+    compared exactly, as the structure has already snapped them.
+    """
+    sizes, ls = {}, []
+    for b in structure.blocks:
+        if b.kind == "L":
+            ls.append(b.n)
+        else:
+            sizes.setdefault(b.lam if b.kind == "H" else "inf", []).append(b.n)
+    total = 0
+    for qs in sizes.values():
+        total += sum((4 * k + 1) * q for k, q in enumerate(sorted(qs, reverse=True)))
+    for i, a in enumerate(ls):
+        for b in ls[i + 1:]:
+            total += a + b + 2 + max(0, abs(a - b) - 1)
+    return total + 2 * sum(map(sum, sizes.values())) * len(ls)
 
 
 def count_structures_dp(max_dim: int, n_eigenvalues: int = 4) -> int:

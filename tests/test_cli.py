@@ -305,6 +305,10 @@ BAD_INPUTS = {
     "lambda-on-L": ("verify", {"blocks": [{"kind": "L", "n": 1, "lambda": [0, 1]}]}, None),
     "matrix-negative-size": ("reduce", _h1([0, 0]), {
         "A": {"rows": -1, "cols": -1, "entries": [[0, 0]]}, "B": _GOOD_MATRIX}),
+    # the pair's "n" must be present, an integer and the size of A and B
+    "pair-n-mismatch": ("reduce", _h1([0, 0]), {"n": 7, "A": _GOOD_MATRIX, "B": _GOOD_MATRIX}),
+    "pair-n-not-integer": ("reduce", _h1([0, 0]), {"n": "x", "A": _GOOD_MATRIX, "B": _GOOD_MATRIX}),
+    "pair-n-missing": ("reduce", _h1([0, 0]), {"A": _GOOD_MATRIX, "B": _GOOD_MATRIX}),
 }
 
 # "missing-<key>": each JSON object without one of its keys; the message names the key

@@ -359,6 +359,18 @@ def test_pair_json_round_trip():
     assert np.array_equal(out.A, pair.A) and np.array_equal(out.B, pair.B)
 
 
+def test_pair_json_reads_n():
+    good = pair_to_json(make_block(CanonicalBlock("H", 1, 0.0)))
+    assert pair_from_json(dict(good, n=np.int64(2))).n == 2
+    with pytest.raises(ValueError, match="pair size n is 7, but A and B are 2x2"):
+        pair_from_json(dict(good, n=7))
+    for n in ("2", 2.0, True, None):
+        with pytest.raises(ValueError, match="pair size n must be an integer"):
+            pair_from_json(dict(good, n=n))
+    with pytest.raises(ValueError, match="pair is missing key 'n'"):
+        pair_from_json({"A": good["A"], "B": good["B"]})
+
+
 def test_structure_json_round_trip():
     st = CanonicalStructure((
         CanonicalBlock("H", 2, -1j),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from skewpencil import (
     LAMBDA_TOL,
+    PALETTE,
     CanonicalBlock,
     CanonicalStructure,
     StarPattern,
@@ -16,7 +18,7 @@ from skewpencil import (
     render_shape,
 )
 
-from helpers import brute_direct_sum_check, masks_unmemoised, random_skew_pair, upper_stars
+from helpers import brute_direct_sum_check, codimension_count, masks_unmemoised, random_skew_pair, upper_stars
 from skewpencil import pattern as pattern_module
 
 
@@ -51,7 +53,9 @@ def test_q_star_count():
 
 
 def test_q_transpose_matches_q():
-    assert np.array_equal(render_shape("q_transpose", 5, 2), render_shape("q", 2, 5).T)
+    for rows in range(7):
+        for cols in range(7):
+            assert np.array_equal(render_shape("q_transpose", rows, cols), render_shape("q", cols, rows).T)
 
 
 def test_corner_sw_3x2_by_rotation():
@@ -63,13 +67,17 @@ def test_corner_sw_3x2_by_rotation():
     assert got == expected == {(2, 0), (2, 1)}
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (3, 2), (3, 3), (1, 5), (5, 1)])
+@pytest.mark.parametrize("rows,cols", [(r, c) for r in range(1, 7) for c in range(1, 7)])
 def test_corner_rotation_consistency(rows, cols):
-    # each corner shape is the clockwise rotation of the one before it
-    nw = mask_positions(render_shape("corner_nw", cols, rows))
-    assert rot90cw(nw, cols) == mask_positions(render_shape("corner_ne", rows, cols))
-    se = mask_positions(render_shape("corner_se", rows, cols))
-    assert se == rot90cw(rot90cw(mask_positions(render_shape("corner_nw", rows, cols)), rows), cols)
+    # NW stars its column unless it has more rows than columns; NE, SE and SW
+    # are NW turned clockwise once, twice and three times
+    nw = mask_positions(render_shape("corner_nw", rows, cols))
+    assert nw == ({(i, 0) for i in range(rows)} if rows <= cols else {(0, j) for j in range(cols)})
+    nw_t = mask_positions(render_shape("corner_nw", cols, rows))
+    assert mask_positions(render_shape("corner_ne", rows, cols)) == rot90cw(nw_t, cols)
+    assert mask_positions(render_shape("corner_se", rows, cols)) == rot90cw(rot90cw(nw, rows), cols)
+    sw = rot90cw(rot90cw(rot90cw(nw_t, cols), rows), cols)
+    assert mask_positions(render_shape("corner_sw", rows, cols)) == sw
 
 
 @pytest.mark.parametrize("tag", ["corner_nw", "corner_ne", "corner_se", "corner_sw"])
@@ -307,6 +315,29 @@ def test_codim_K1_K1():
         pair, upper_stars(pat.mask_a), upper_stars(pat.mask_b))
     assert ok and (rank_t, ambient) == (6, 12)
     assert codimension(st) == ambient - rank_t == 6
+
+
+def test_codimension_equals_the_closed_form_count_on_the_corpus():
+    structures = enumerate_structures(10)
+    assert len(structures) == 1978
+    assert [codimension(st) for st in structures] == [codimension_count(st) for st in structures]
+
+
+# H eigenvalues from the palette, or within or just past LAMBDA_TOL of it
+_BLOCK = hs.one_of(
+    hs.builds(lambda n, lam, shift: CanonicalBlock("H", n, lam + shift), hs.integers(1, 5),
+              hs.sampled_from(PALETTE), hs.sampled_from((0.0, 0.4e-10, 0.9e-10, 1.5e-10, 1e-3))),
+    hs.builds(lambda n: CanonicalBlock("K", n), hs.integers(1, 5)),
+    hs.builds(lambda n: CanonicalBlock("L", n), hs.integers(0, 5)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hs.lists(_BLOCK, min_size=1, max_size=8))
+def test_codimension_equals_the_closed_form_count_beyond_the_corpus(blocks):
+    # the count reads the blocks as the structure has snapped them
+    st = CanonicalStructure(tuple(blocks))
+    assert codimension(st) == codimension_count(st)
 
 
 def test_rank_plus_params_small_corpus():
