@@ -76,7 +76,8 @@ def skew_embed(M: np.ndarray) -> np.ndarray:
 class CanonicalBlock:
     """One indecomposable summand: kind 'H', 'K' or 'L' with size n.
 
-    ``lam`` is the eigenvalue and is meaningful only for kind 'H'.
+    ``lam`` is the eigenvalue and is meaningful only for kind 'H'; a zero
+    part of it is stored as +0.0.
     """
 
     kind: str
@@ -91,7 +92,8 @@ class CanonicalBlock:
             raise ValueError(f"{self.kind} block needs n >= 1")
         if self.kind == "L" and self.n < 0:
             raise ValueError("L block needs n >= 0")
-        object.__setattr__(self, "lam", complex(self.lam))
+        # + 0j turns -0.0 into +0.0 in both parts: equal blocks build byte-equal pairs
+        object.__setattr__(self, "lam", complex(self.lam) + 0j)
         if not cmath.isfinite(self.lam):
             raise ValueError(f"eigenvalue must be finite, got {self.lam}")
         if self.kind != "H" and self.lam != 0:

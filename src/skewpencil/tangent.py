@@ -13,6 +13,12 @@ The rows of the tangent, in the order of :func:`_rows`, are the coordinates
 exactly the part of T(A, B) on the stars, so the intersection with the star
 span is rank T - rank T_off, T_off being the off-pattern rows.
 
+:func:`verify_pairwise` checks each distinct one- and two-block
+substructure once per call.  Their pairs and patterns are built once per
+process: a table keyed on the blocks keeps them up to
+``SUBSTRUCTURE_TABLE_BYTES``, oldest dropped first, while every verdict
+is computed in the call that returns it.
+
 Projection onto the unique pattern-form coset representative
 (:func:`project_to_pattern`), the schedule constant and the Newton
 corrections of :mod:`~skewpencil.reduction` all use one base chart per
@@ -22,7 +28,8 @@ the off-pattern Gram matrix at the base once and never forms the tangent
 matrix.  :func:`_chart` keeps the last one built.  The inverse of each
 distinct Gram piece is computed once per process and shared by every chart
 that meets an equal piece; the table of inverses holds up to
-``GRAM_TABLE_BYTES``, oldest dropped first.
+``GRAM_TABLE_BYTES``, oldest dropped first, and is bounded by the same
+routine as the substructure table (:func:`_store`).
 """
 
 from __future__ import annotations
@@ -103,30 +110,38 @@ SOLVE_RTOL = 1e-15
 MAX_SWEEPS = 200
 #: bytes of Gram keys and inverses kept across charts (the dim <= 10 corpus needs about 6 MB)
 GRAM_TABLE_BYTES = 16 * 2**20
+#: bytes of substructure pairs and patterns kept across :func:`verify_pairwise` calls
+#: (34 d^2 per substructure of dimension d: the dim <= 10 corpus needs 436 KiB)
+SUBSTRUCTURE_TABLE_BYTES = 4 * 2**20
 
 #: the read-only, Fortran-ordered transpose of G^-1 for each non-singular chart
 #: Gram piece G, keyed on the bytes of G, oldest first; see :class:`OffPatternSolver`
 _GRAM_INVERSES: dict[bytes, np.ndarray] = {}
 
+#: the read-only pair and pattern of each one- or two-block canonical substructure,
+#: keyed on its blocks, oldest first; see :func:`verify_pairwise`
+_SUBSTRUCTURES: dict[tuple[CanonicalBlock, ...], tuple[SkewPair, StarPattern]] = {}
 
-def _store_inverses(new: dict[bytes, np.ndarray]) -> None:
-    """Add a chart's new inverses to the table, then drop the oldest past GRAM_TABLE_BYTES.
 
-    Safe under threads without a lock: ``list`` copies the table in one
-    step, and ``pop(key, None)`` passes over an entry that another thread
-    has dropped already.  An entry is a function of its key, so a key
-    stored twice holds equal arrays.
+def _store(table: dict, new: dict, bound: int, nbytes) -> None:
+    """Add ``new`` entries to a process table, then drop the oldest past ``bound`` bytes.
+
+    ``nbytes(key, value)`` is the size of one entry.  Safe under threads
+    without a lock: ``list`` copies the table in one step, and
+    ``pop(key, None)`` passes over an entry that another thread has
+    dropped already.  An entry is a function of its key, so a key stored
+    twice holds equal arrays.
     """
     if not new:
         return
-    _GRAM_INVERSES.update(new)
-    entries = list(_GRAM_INVERSES.items())
-    total = sum(len(key) + g_inv_t.nbytes for key, g_inv_t in entries)
-    for key, g_inv_t in entries:
-        if total <= GRAM_TABLE_BYTES:
+    table.update(new)
+    entries = list(table.items())
+    total = sum(nbytes(key, value) for key, value in entries)
+    for key, value in entries:
+        if total <= bound:
             break
-        _GRAM_INVERSES.pop(key, None)
-        total -= len(key) + g_inv_t.nbytes
+        table.pop(key, None)
+        total -= nbytes(key, value)
 
 
 def _conj_row(pair: SkewPair) -> np.ndarray:
@@ -216,7 +231,7 @@ class OffPatternSolver:
                 g_inv_t.flags.writeable = False
                 new[key] = g_inv_t
             self._pieces.append((g_inv_t, np.stack(rows)))
-        _store_inverses(new)
+        _store(_GRAM_INVERSES, new, GRAM_TABLE_BYTES, lambda key, g_inv_t: len(key) + g_inv_t.nbytes)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         z = np.empty_like(r)
@@ -394,6 +409,17 @@ class PairwiseReport:
         return {"i": self.i, "j": self.j, "report": self.report.to_json()}
 
 
+def _substructure(blocks: tuple[CanonicalBlock, ...]) -> tuple[SkewPair, StarPattern]:
+    """The pair and pattern of the direct sum of ``blocks``, given in canonical order.
+
+    They equal ``make_structure_pair`` and ``assemble`` of the
+    substructure, and like those are built from validated blocks and not
+    checked a second time.
+    """
+    pair = SkewPair._trusted(_on_diagonal([_block_matrices(b) for b in blocks], complex))
+    return pair, _pattern(blocks, _diagonal_masks(blocks))
+
+
 def verify_pairwise(
     structure: CanonicalStructure,
     backend: str = "exact",
@@ -404,32 +430,38 @@ def verify_pairwise(
     The full pattern is miniversal exactly when every one- and two-summand
     substructure passes its own direct-sum check.  Reports come for (i, i)
     in block order, then for each i < j.  A substructure is determined by
-    its blocks, so each distinct one is checked once, by
+    its blocks, so each distinct one is checked once per call, by
     :func:`verify_direct_sum`, before the rows are listed, and its report
     object is shared by every (i, j) with the same blocks.  The distinct
     blocks are numbered once per call and the checks are keyed on those
-    numbers.  Each check's pair and pattern are assembled from parts
-    built once per call: each distinct block's matrices and diagonal
-    masks, and the off-diagonal masks of each distinct block pair.  They
-    equal ``make_structure_pair`` and ``assemble`` of the substructure,
-    whose blocks are already in canonical order, and like those are not
-    checked a second time.  Nothing is kept between calls.  ``lambda_tol``
-    is accepted and ignored: the structure has already decided which
-    eigenvalues coincide (see :class:`~skewpencil.core.CanonicalStructure`).
+    numbers.  Each check's pair and pattern (:func:`_substructure`) are
+    built once per process: a table keyed on the substructure's blocks
+    keeps them, read-only, up to ``SUBSTRUCTURE_TABLE_BYTES`` of arrays,
+    oldest dropped first.  Equal blocks build byte-equal pairs, so a check
+    sees the same bytes from a cold or a warm table.  Only the parts are
+    kept: every report is computed in the call that returns it.
+    ``lambda_tol`` is accepted and ignored: the structure has already
+    decided which eigenvalues coincide (see
+    :class:`~skewpencil.core.CanonicalStructure`).
     """
     blocks = structure.blocks
     # each distinct block gets a small integer id, so that the memo hashes ints
     ids: dict[CanonicalBlock, int] = {}
     bid = [ids.setdefault(b, len(ids)) for b in blocks]
     distinct = list(ids)
-    matrices = [_block_matrices(b) for b in distinct]
-    diag = _diagonal_masks(distinct)
     keys = [(d,) for d in range(len(distinct))]
     keys += dict.fromkeys((a, b) for i, a in enumerate(bid) for b in bid[i + 1:])
     memo: dict[tuple[int, ...], DecompositionReport] = {}
+    # substructures built by this call, stored in one step after the checks
+    new: dict[tuple[CanonicalBlock, ...], tuple[SkewPair, StarPattern]] = {}
     for key in keys:
-        pair = SkewPair._trusted(_on_diagonal([matrices[d] for d in key], complex))
-        memo[key] = verify_direct_sum(pair, _pattern(tuple(distinct[d] for d in key), diag), backend)
+        sub = tuple(distinct[d] for d in key)
+        parts = _SUBSTRUCTURES.get(sub)  # read once: another thread may evict it meanwhile
+        if parts is None:
+            parts = new[sub] = _substructure(sub)
+        memo[key] = verify_direct_sum(*parts, backend)
+    _store(_SUBSTRUCTURES, new, SUBSTRUCTURE_TABLE_BYTES,
+           lambda sub, parts: parts[0]._AB.nbytes + parts[1]._masks.nbytes)
     out = [PairwiseReport(i, i, memo[(a,)]) for i, a in enumerate(bid)]
     for i, a in enumerate(bid):
         out += [PairwiseReport(i, j, memo[a, b]) for j, b in enumerate(bid[i + 1:], i + 1)]

@@ -22,6 +22,7 @@ from skewpencil import (
 )
 from skewpencil import cli
 from skewpencil import pattern as pattern_module
+from skewpencil import tangent as tangent_module
 from skewpencil.cli import main
 from skewpencil.core import dump_json
 
@@ -109,6 +110,9 @@ def test_verify_exit_1_on_failure(tmp_path, capsys, monkeypatch):
         return mask_a, mask_b & (block.kind != "H")
 
     monkeypatch.setattr(pattern_module, "diag_block", diag_block_without_h_star)
+    # verify keeps each substructure's pattern per process: from an empty table,
+    # every pattern of this test is built by the patched renderer
+    monkeypatch.setattr(tangent_module, "_SUBSTRUCTURES", {})
     H1, L0 = CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 0)
     # with a repeated failing block, rows that share one report are each listed and named
     for blocks, failing in (((H1, L0), [(0, 0), (0, 1)]),

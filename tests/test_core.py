@@ -406,6 +406,22 @@ def test_matrix_json_keeps_signed_zeros():
     assert matrix_from_json(json.loads(json.dumps(out))).tobytes() == M.tobytes()
 
 
+@pytest.mark.parametrize("lam", [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                                 complex(2.5, -0.0), complex(-0.0, -1.0)])
+def test_equal_eigenvalues_with_signed_zeros_build_equal_bytes(lam):
+    # a block is equal to, and hashes as, the block with +0.0 in place of -0.0,
+    # so every builder gives the two the same bytes
+    plus = CanonicalBlock("H", 2, complex(lam.real + 0.0, lam.imag + 0.0))
+    block = CanonicalBlock("H", 2, lam)
+    assert block == plus and hash(block) == hash(plus)
+    assert make_block(block)._AB.tobytes() == make_block(plus)._AB.tobytes()
+    sums = [CanonicalStructure((b, CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 1))) for b in (block, plus)]
+    assert make_structure_pair(sums[0])._AB.tobytes() == make_structure_pair(sums[1])._AB.tobytes()
+    assert assemble(sums[0])._masks.tobytes() == assemble(sums[1])._masks.tobytes()
+    assert dump_json(structure_to_json(sums[0])) == dump_json(structure_to_json(sums[1]))
+    assert "-0.0" not in dump_json(structure_to_json(sums[0]))
+
+
 def test_cli_documents_render_as_plain_sorted_json(tmp_path, capsys):
     structure = CanonicalStructure((CanonicalBlock("H", 2, 0.0), CanonicalBlock("H", 1, 1j),
                                     CanonicalBlock("K", 1), CanonicalBlock("L", 1)))

@@ -689,6 +689,94 @@ def test_refused_chart_stores_no_gram_piece(gram_table):
     assert messages[0] == messages[1]
 
 
+@pytest.fixture
+def substructure_table(monkeypatch):
+    """An empty table of substructure pairs and patterns, in place of the process's own for one test."""
+    table = {}
+    monkeypatch.setattr(tangent_module, "_SUBSTRUCTURES", table)
+    return table
+
+
+def substructure_bytes(blocks):
+    """Bytes of one table entry: the (2, d, d) complex pair and the (2, d, d) bool pattern."""
+    d = sum(b.dim for b in blocks)
+    return 34 * d * d
+
+
+PAIRWISE_CASES = enumerate_structures(8) + [ladder_structure(name) for name in ("n10", "n21", "n35", "n45i", "n56")]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_pairwise_from_the_substructure_table_equals_a_cold_call(substructure_table, monkeypatch, backend):
+    cold = []
+    for st in PAIRWISE_CASES:
+        substructure_table.clear()
+        cold.append(verify_pairwise(st, backend))
+    # warm: every structure is checked once, then each again with every substructure in the table
+    for st in PAIRWISE_CASES:
+        verify_pairwise(st, backend)
+    built, build = [], tangent_module._substructure
+    monkeypatch.setattr(tangent_module, "_substructure", lambda blocks: built.append(blocks) or build(blocks))
+    for st, reports in zip(PAIRWISE_CASES, cold):
+        assert verify_pairwise(st, backend) == reports, st
+    assert built == []
+    assert sum(substructure_bytes(key) for key in substructure_table) <= tangent_module.SUBSTRUCTURE_TABLE_BYTES
+    for key, (pair, pattern) in substructure_table.items():
+        assert pair.n == pattern.n == sum(b.dim for b in key)
+        assert not pair._AB.flags.writeable and not pattern._masks.flags.writeable
+
+
+def test_a_bounded_substructure_table_drops_its_oldest_entries_first(substructure_table, monkeypatch):
+    bound = 20_000
+    monkeypatch.setattr(tangent_module, "SUBSTRUCTURE_TABLE_BYTES", bound)
+    built, build = [], tangent_module._substructure
+    monkeypatch.setattr(tangent_module, "_substructure", lambda blocks: built.append(blocks) or build(blocks))
+    expected: dict = {}  # the table as oldest-first eviction leaves it after each call
+    for st in PAIRWISE_CASES:
+        start = len(built)
+        assert verify_pairwise(st) == pairwise_reports_unmemoised(st), st
+        for blocks in built[start:]:
+            expected[blocks] = substructure_bytes(blocks)
+        while sum(expected.values()) > bound:
+            del expected[next(iter(expected))]
+        assert list(substructure_table) == list(expected), st
+        assert all(pair._AB.nbytes + pattern._masks.nbytes == expected[key]
+                   for key, (pair, pattern) in substructure_table.items())
+    # the bound evicted substructures that later calls built again
+    assert len(built) > len(set(built))
+
+
+def test_substructure_table_shared_by_threads(substructure_table, monkeypatch):
+    # more threads than cores check structures that share substructures, with a bound
+    # that evicts on most stores: each call still equals the serial one, and the
+    # table keeps its bound
+    bound = 20_000
+    monkeypatch.setattr(tangent_module, "SUBSTRUCTURE_TABLE_BYTES", bound)
+    structures = PAIRWISE_CASES[::9]
+    serial = [verify_pairwise(st) for st in structures]
+    mismatches, done = [], []
+
+    def work(t):
+        for k in [*range(t, len(structures)), *range(t)] * 2:
+            if verify_pairwise(structures[k]) != serial[k]:
+                mismatches.append(k)
+        done.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and mismatches == []
+    assert 0 < sum(substructure_bytes(key) for key in substructure_table) <= bound
+
+
 def test_exact_verify_ranks_equal_the_unpeeled_reference(monkeypatch):
     calls, original = [], exact_module.gaussian_columns_rank
 
@@ -732,7 +820,7 @@ def test_unchecked_constructors_take_only_library_built_parts():
                 sites |= {(path.stem, func.name, ast.unparse(node.func.value)) for node in ast.walk(func)
                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                           and node.func.attr == "_trusted"}
-    assert sites == {("core", "make_structure_pair", "SkewPair"), ("tangent", "verify_pairwise", "SkewPair"),
+    assert sites == {("core", "make_structure_pair", "SkewPair"), ("tangent", "_substructure", "SkewPair"),
                      ("pattern", "_pattern", "StarPattern")}
 
 
