@@ -28,12 +28,15 @@ the off-pattern Gram matrix at the base once and never forms the tangent
 matrix.  :func:`_chart` keeps the last one built.  The inverse of each
 distinct Gram piece is computed once per process and shared by every chart
 that meets an equal piece; the table of inverses holds up to
-``GRAM_TABLE_BYTES``, oldest dropped first, and is bounded by the same
-routine as the substructure table (:func:`_store`).
+``GRAM_TABLE_BYTES``, oldest dropped first.  Both tables are
+:class:`_Table` instances: lookups take no lock, and a store costs only
+the entries it adds and drops.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,37 +114,55 @@ MAX_SWEEPS = 200
 #: bytes of Gram keys and inverses kept across charts (the dim <= 10 corpus needs about 6 MB)
 GRAM_TABLE_BYTES = 16 * 2**20
 #: bytes of substructure pairs and patterns kept across :func:`verify_pairwise` calls
-#: (34 d^2 per substructure of dimension d: the dim <= 10 corpus needs 436 KiB)
+#: (34 d^2 + 640 per substructure of dimension d: the dim <= 10 corpus needs 573 KiB)
 SUBSTRUCTURE_TABLE_BYTES = 4 * 2**20
 
+
+class _Table(OrderedDict):
+    """A process table of read-only entries, each a function of its key, oldest first.
+
+    ``nbytes`` is the running size of the entries: ``size(key, value)``
+    bytes of array data each, plus ``overhead`` bytes for the key, the
+    objects around the arrays and the table's own slot.  Lookups take no
+    lock.  :meth:`store` takes one, so that two threads storing at once
+    keep ``nbytes`` exact, and costs only its new entries and the ones it
+    drops.
+    """
+
+    def __init__(self, size, overhead: int):
+        super().__init__()
+        self.size, self.overhead, self.nbytes = size, overhead, 0
+        self._lock = threading.Lock()
+
+    def store(self, new: dict, bound: int) -> None:
+        """Add ``new`` entries, then drop the oldest until at most ``bound`` bytes are kept."""
+        if not new:
+            return
+        with self._lock:
+            for key, value in new.items():
+                if key not in self:  # another thread may have stored it meanwhile
+                    self[key] = value
+                    self.nbytes += self.size(key, value) + self.overhead
+            while self.nbytes > bound:
+                key, value = self.popitem(last=False)
+                self.nbytes -= self.size(key, value) + self.overhead
+
+    def clear(self) -> None:
+        with self._lock:
+            super().clear()
+            self.nbytes = 0
+
+
 #: the read-only, Fortran-ordered transpose of G^-1 for each non-singular chart
-#: Gram piece G, keyed on the bytes of G, oldest first; see :class:`OffPatternSolver`
-_GRAM_INVERSES: dict[bytes, np.ndarray] = {}
+#: Gram piece G, keyed on the bytes of G; see :class:`OffPatternSolver`.  Besides
+#: its key and array data an entry holds about 400 bytes (tracemalloc, dim <= 8 charts)
+_GRAM_INVERSES = _Table(lambda key, g_inv_t: len(key) + g_inv_t.nbytes, overhead=400)
 
 #: the read-only pair and pattern of each one- or two-block canonical substructure,
-#: keyed on its blocks, oldest first; see :func:`verify_pairwise`
-_SUBSTRUCTURES: dict[tuple[CanonicalBlock, ...], tuple[SkewPair, StarPattern]] = {}
-
-
-def _store(table: dict, new: dict, bound: int, nbytes) -> None:
-    """Add ``new`` entries to a process table, then drop the oldest past ``bound`` bytes.
-
-    ``nbytes(key, value)`` is the size of one entry.  Safe under threads
-    without a lock: ``list`` copies the table in one step, and
-    ``pop(key, None)`` passes over an entry that another thread has
-    dropped already.  An entry is a function of its key, so a key stored
-    twice holds equal arrays.
-    """
-    if not new:
-        return
-    table.update(new)
-    entries = list(table.items())
-    total = sum(nbytes(key, value) for key, value in entries)
-    for key, value in entries:
-        if total <= bound:
-            break
-        table.pop(key, None)
-        total -= nbytes(key, value)
+#: keyed on its blocks; see :func:`verify_pairwise`.  Besides its array data an entry
+#: holds about 640 bytes: the key, its blocks, the pair and the pattern (tracemalloc)
+_SUBSTRUCTURES = _Table(lambda blocks, parts: parts[0]._AB.nbytes + parts[1]._masks.nbytes,
+                        overhead=640)
 
 
 def _conj_row(pair: SkewPair) -> np.ndarray:
@@ -231,7 +252,7 @@ class OffPatternSolver:
                 g_inv_t.flags.writeable = False
                 new[key] = g_inv_t
             self._pieces.append((g_inv_t, np.stack(rows)))
-        _store(_GRAM_INVERSES, new, GRAM_TABLE_BYTES, lambda key, g_inv_t: len(key) + g_inv_t.nbytes)
+        _GRAM_INVERSES.store(new, GRAM_TABLE_BYTES)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         z = np.empty_like(r)
@@ -409,15 +430,19 @@ class PairwiseReport:
         return {"i": self.i, "j": self.j, "report": self.report.to_json()}
 
 
-def _substructure(blocks: tuple[CanonicalBlock, ...]) -> tuple[SkewPair, StarPattern]:
+def _substructure(blocks: tuple[CanonicalBlock, ...], matrices: list[np.ndarray],
+                  diag: dict[CanonicalBlock, np.ndarray]) -> tuple[SkewPair, StarPattern]:
     """The pair and pattern of the direct sum of ``blocks``, given in canonical order.
 
-    They equal ``make_structure_pair`` and ``assemble`` of the
-    substructure, and like those are built from validated blocks and not
-    checked a second time.
+    ``matrices`` are the blocks' [A, B] stacks
+    (:func:`~skewpencil.core._block_matrices`) in order, and ``diag``
+    holds each block's diagonal masks
+    (:func:`~skewpencil.pattern._diagonal_masks`).  The pair and pattern
+    equal ``make_structure_pair`` and ``assemble`` of the substructure,
+    and like those are built from validated blocks and not checked a
+    second time.
     """
-    pair = SkewPair._trusted(_on_diagonal([_block_matrices(b) for b in blocks], complex))
-    return pair, _pattern(blocks, _diagonal_masks(blocks))
+    return SkewPair._trusted(_on_diagonal(matrices, complex)), _pattern(blocks, diag)
 
 
 def verify_pairwise(
@@ -436,8 +461,11 @@ def verify_pairwise(
     blocks are numbered once per call and the checks are keyed on those
     numbers.  Each check's pair and pattern (:func:`_substructure`) are
     built once per process: a table keyed on the substructure's blocks
-    keeps them, read-only, up to ``SUBSTRUCTURE_TABLE_BYTES`` of arrays,
-    oldest dropped first.  Equal blocks build byte-equal pairs, so a check
+    keeps them, read-only, up to ``SUBSTRUCTURE_TABLE_BYTES`` (arrays plus
+    a fixed size per entry for the objects around them), oldest dropped
+    first.  A call builds the ones the table lacks from each distinct
+    block's matrices and diagonal masks, made once in the call, on its
+    first miss.  Equal blocks build byte-equal pairs, so a check
     sees the same bytes from a cold or a warm table.  Only the parts are
     kept: every report is computed in the call that returns it.
     ``lambda_tol`` is accepted and ignored: the structure has already
@@ -452,16 +480,19 @@ def verify_pairwise(
     keys = [(d,) for d in range(len(distinct))]
     keys += dict.fromkeys((a, b) for i, a in enumerate(bid) for b in bid[i + 1:])
     memo: dict[tuple[int, ...], DecompositionReport] = {}
-    # substructures built by this call, stored in one step after the checks
+    # substructures the table lacks, stored in one step after the checks; they are
+    # built from each distinct block's matrices and masks, made on the first miss
     new: dict[tuple[CanonicalBlock, ...], tuple[SkewPair, StarPattern]] = {}
+    matrices = diag = None
     for key in keys:
         sub = tuple(distinct[d] for d in key)
         parts = _SUBSTRUCTURES.get(sub)  # read once: another thread may evict it meanwhile
         if parts is None:
-            parts = new[sub] = _substructure(sub)
+            if matrices is None:
+                matrices, diag = [_block_matrices(b) for b in distinct], _diagonal_masks(distinct)
+            parts = new[sub] = _substructure(sub, [matrices[d] for d in key], diag)
         memo[key] = verify_direct_sum(*parts, backend)
-    _store(_SUBSTRUCTURES, new, SUBSTRUCTURE_TABLE_BYTES,
-           lambda sub, parts: parts[0]._AB.nbytes + parts[1]._masks.nbytes)
+    _SUBSTRUCTURES.store(new, SUBSTRUCTURE_TABLE_BYTES)
     out = [PairwiseReport(i, i, memo[(a,)]) for i, a in enumerate(bid)]
     for i, a in enumerate(bid):
         out += [PairwiseReport(i, j, memo[a, b]) for j, b in enumerate(bid[i + 1:], i + 1)]

@@ -112,7 +112,8 @@ def test_verify_exit_1_on_failure(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pattern_module, "diag_block", diag_block_without_h_star)
     # verify keeps each substructure's pattern per process: from an empty table,
     # every pattern of this test is built by the patched renderer
-    monkeypatch.setattr(tangent_module, "_SUBSTRUCTURES", {})
+    table = tangent_module._SUBSTRUCTURES
+    monkeypatch.setattr(tangent_module, "_SUBSTRUCTURES", type(table)(table.size, table.overhead))
     H1, L0 = CanonicalBlock("H", 1, 0.0), CanonicalBlock("L", 0)
     # with a repeated failing block, rows that share one report are each listed and named
     for blocks, failing in (((H1, L0), [(0, 0), (0, 1)]),

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -587,15 +588,22 @@ def chart_outputs(base, pattern, rng):
 
 
 def table_bytes(table):
-    return sum(len(key) + g.nbytes for key, g in table.items())
+    """Bytes the Gram table counts: each key and inverse, and a fixed size per entry."""
+    return sum(len(key) + g.nbytes + table.overhead for key, g in table.items())
+
+
+def swap_in_an_empty_table(monkeypatch, name):
+    """An empty table, measured as the process table ``name`` is, in its place for one test."""
+    table = getattr(tangent_module, name)
+    table = type(table)(table.size, table.overhead)
+    monkeypatch.setattr(tangent_module, name, table)
+    return table
 
 
 @pytest.fixture
 def gram_table(monkeypatch):
     """An empty table of inverse Gram pieces, in place of the process's own for one test."""
-    table = {}
-    monkeypatch.setattr(tangent_module, "_GRAM_INVERSES", table)
-    return table
+    return swap_in_an_empty_table(monkeypatch, "_GRAM_INVERSES")
 
 
 @pytest.mark.parametrize("bound", [None, 40_000], ids=["default-bound", "40kB-bound"])
@@ -613,7 +621,7 @@ def test_chart_from_the_gram_table_equals_a_cold_chart(gram_table, monkeypatch, 
         chart_outputs(base, pattern, np.random.default_rng(0))
     for k, (base, pattern) in enumerate(bases):
         assert chart_outputs(base, pattern, np.random.default_rng(k)) == cold[k], k
-        assert table_bytes(gram_table) <= tangent_module.GRAM_TABLE_BYTES
+        assert gram_table.nbytes == table_bytes(gram_table) <= tangent_module.GRAM_TABLE_BYTES
     assert gram_table
     # each entry is its own read-only array, not a view of a batch, laid out as the
     # transposed view was: a C-ordered copy changes the bits of the products
@@ -673,7 +681,7 @@ def test_gram_table_shared_by_threads(gram_table, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(done) == [0, 1, 2, 3] and mismatches == []
-    assert 0 < table_bytes(gram_table) <= 40_000
+    assert 0 < gram_table.nbytes == table_bytes(gram_table) <= 40_000
 
 
 def test_refused_chart_stores_no_gram_piece(gram_table):
@@ -692,15 +700,22 @@ def test_refused_chart_stores_no_gram_piece(gram_table):
 @pytest.fixture
 def substructure_table(monkeypatch):
     """An empty table of substructure pairs and patterns, in place of the process's own for one test."""
-    table = {}
-    monkeypatch.setattr(tangent_module, "_SUBSTRUCTURES", table)
-    return table
+    return swap_in_an_empty_table(monkeypatch, "_SUBSTRUCTURES")
 
 
 def substructure_bytes(blocks):
-    """Bytes of one table entry: the (2, d, d) complex pair and the (2, d, d) bool pattern."""
+    """Bytes the table counts for one entry: the (2, d, d) complex pair, the (2, d, d)
+    bool pattern and a fixed size for the objects around them."""
     d = sum(b.dim for b in blocks)
-    return 34 * d * d
+    return 34 * d * d + tangent_module._SUBSTRUCTURES.overhead
+
+
+def counting_builds(monkeypatch):
+    """The list of blocks of each substructure built from now on in the test."""
+    built, build = [], tangent_module._substructure
+    monkeypatch.setattr(tangent_module, "_substructure",
+                        lambda blocks, *parts: built.append(blocks) or build(blocks, *parts))
+    return built
 
 
 PAIRWISE_CASES = enumerate_structures(8) + [ladder_structure(name) for name in ("n10", "n21", "n35", "n45i", "n56")]
@@ -715,12 +730,12 @@ def test_pairwise_from_the_substructure_table_equals_a_cold_call(substructure_ta
     # warm: every structure is checked once, then each again with every substructure in the table
     for st in PAIRWISE_CASES:
         verify_pairwise(st, backend)
-    built, build = [], tangent_module._substructure
-    monkeypatch.setattr(tangent_module, "_substructure", lambda blocks: built.append(blocks) or build(blocks))
+    built = counting_builds(monkeypatch)
     for st, reports in zip(PAIRWISE_CASES, cold):
         assert verify_pairwise(st, backend) == reports, st
     assert built == []
-    assert sum(substructure_bytes(key) for key in substructure_table) <= tangent_module.SUBSTRUCTURE_TABLE_BYTES
+    total = sum(substructure_bytes(key) for key in substructure_table)
+    assert substructure_table.nbytes == total <= tangent_module.SUBSTRUCTURE_TABLE_BYTES
     for key, (pair, pattern) in substructure_table.items():
         assert pair.n == pattern.n == sum(b.dim for b in key)
         assert not pair._AB.flags.writeable and not pattern._masks.flags.writeable
@@ -729,8 +744,7 @@ def test_pairwise_from_the_substructure_table_equals_a_cold_call(substructure_ta
 def test_a_bounded_substructure_table_drops_its_oldest_entries_first(substructure_table, monkeypatch):
     bound = 20_000
     monkeypatch.setattr(tangent_module, "SUBSTRUCTURE_TABLE_BYTES", bound)
-    built, build = [], tangent_module._substructure
-    monkeypatch.setattr(tangent_module, "_substructure", lambda blocks: built.append(blocks) or build(blocks))
+    built = counting_builds(monkeypatch)
     expected: dict = {}  # the table as oldest-first eviction leaves it after each call
     for st in PAIRWISE_CASES:
         start = len(built)
@@ -740,10 +754,30 @@ def test_a_bounded_substructure_table_drops_its_oldest_entries_first(substructur
         while sum(expected.values()) > bound:
             del expected[next(iter(expected))]
         assert list(substructure_table) == list(expected), st
-        assert all(pair._AB.nbytes + pattern._masks.nbytes == expected[key]
+        assert substructure_table.nbytes == sum(expected.values())
+        assert all(pair._AB.nbytes + pattern._masks.nbytes + substructure_table.overhead == expected[key]
                    for key, (pair, pattern) in substructure_table.items())
     # the bound evicted substructures that later calls built again
     assert len(built) > len(set(built))
+
+
+def test_a_call_renders_each_distinct_block_once_and_only_on_a_miss(substructure_table, monkeypatch):
+    # a cold call builds all its substructures from one render of each distinct
+    # block's matrices and diagonal masks; a warm call renders nothing
+    rendered = []
+    block_matrices, diag_block = tangent_module._block_matrices, pattern_module.diag_block
+    monkeypatch.setattr(tangent_module, "_block_matrices", lambda b: rendered.append(("AB", b)) or block_matrices(b))
+    monkeypatch.setattr(pattern_module, "diag_block", lambda b: rendered.append(("masks", b)) or diag_block(b))
+    for name in ("n45i", "n56"):
+        st = ladder_structure(name)
+        distinct = dict.fromkeys(st.blocks)
+        substructure_table.clear()
+        rendered.clear()
+        cold = verify_pairwise(st)
+        assert Counter(rendered) == Counter([("AB", b) for b in distinct] + [("masks", b) for b in distinct])
+        rendered.clear()
+        assert verify_pairwise(st) == cold
+        assert rendered == []
 
 
 def test_substructure_table_shared_by_threads(substructure_table, monkeypatch):
@@ -774,7 +808,7 @@ def test_substructure_table_shared_by_threads(substructure_table, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(done) == [0, 1, 2, 3] and mismatches == []
-    assert 0 < sum(substructure_bytes(key) for key in substructure_table) <= bound
+    assert 0 < substructure_table.nbytes == sum(substructure_bytes(key) for key in substructure_table) <= bound
 
 
 def test_exact_verify_ranks_equal_the_unpeeled_reference(monkeypatch):
